@@ -1,9 +1,8 @@
 //! Criterion bench behind table T4: engine ablations (structural
 //! hashing, structural merging, sweeping) on an adder pair.
 
-use bench::experiments::Ablation;
+use bench::experiments::{check, Ablation};
 use bench::workloads;
-use cec::Prover;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_t4(c: &mut Criterion) {
@@ -13,9 +12,7 @@ fn bench_t4(c: &mut Criterion) {
     for config in Ablation::all() {
         group.bench_function(format!("add-16/{}", config.label()), |b| {
             b.iter(|| {
-                let outcome = Prover::new(config.options())
-                    .prove(&pair.a, &pair.b)
-                    .expect("well-formed");
+                let outcome = check(config.options(), &pair.a, &pair.b);
                 assert!(outcome.is_equivalent());
             });
         });

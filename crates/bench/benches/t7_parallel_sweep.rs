@@ -13,7 +13,8 @@
 //! `EngineStats::workers`).
 
 use aig::gen::{kogge_stone_adder, ripple_carry_adder};
-use cec::{CecOptions, Prover};
+use bench::experiments::check;
+use cec::EngineConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_t7(c: &mut Criterion) {
@@ -26,15 +27,13 @@ fn bench_t7(c: &mut Criterion) {
     let mut group = c.benchmark_group("t7");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        let options = CecOptions {
+        let config = EngineConfig {
             threads,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         group.bench_function(format!("add-rca/ks-64/threads-{threads}"), |bch| {
             bch.iter(|| {
-                let outcome = Prover::new(options.clone())
-                    .prove(&a, &b)
-                    .expect("prove runs");
+                let outcome = check(config.clone(), &a, &b);
                 assert!(outcome.is_equivalent());
             });
         });

@@ -15,12 +15,12 @@
 //! The measured ratios are recorded in `DESIGN.md` ("Observability").
 
 use aig::gen::{kogge_stone_adder, ripple_carry_adder};
-use cec::{CecOptions, Prover};
+use cec::{EngineConfig, Session, SharedContext};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn prove(options: &CecOptions, a: &aig::Aig, b: &aig::Aig) {
-    let outcome = Prover::new(options.clone())
-        .prove(a, b)
+fn prove(ctx: &SharedContext, a: &aig::Aig, b: &aig::Aig) {
+    let outcome = Session::new(EngineConfig::default(), ctx)
+        .check(a, b)
         .expect("prove runs");
     assert!(outcome.is_equivalent());
 }
@@ -32,18 +32,15 @@ fn bench_t9(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("add-rca/ks-32/disabled", |bch| {
-        let options = CecOptions::default();
-        bch.iter(|| prove(&options, &a, &b));
+        let ctx = SharedContext::disabled();
+        bch.iter(|| prove(&ctx, &a, &b));
     });
 
     group.bench_function("add-rca/ks-32/enabled", |bch| {
         let recorder = obs::Recorder::new();
-        let options = CecOptions {
-            recorder: recorder.clone(),
-            ..CecOptions::default()
-        };
+        let ctx = SharedContext::new(recorder.clone(), obs::metrics::Metrics::disabled());
         bch.iter(|| {
-            prove(&options, &a, &b);
+            prove(&ctx, &a, &b);
             let events = recorder.take_events();
             assert!(!events.is_empty());
         });
@@ -51,12 +48,9 @@ fn bench_t9(c: &mut Criterion) {
 
     group.bench_function("add-rca/ks-32/enabled-jsonl", |bch| {
         let recorder = obs::Recorder::new();
-        let options = CecOptions {
-            recorder: recorder.clone(),
-            ..CecOptions::default()
-        };
+        let ctx = SharedContext::new(recorder.clone(), obs::metrics::Metrics::disabled());
         bch.iter(|| {
-            prove(&options, &a, &b);
+            prove(&ctx, &a, &b);
             let events = recorder.take_events();
             obs::export::write_jsonl(&events, &mut std::io::sink()).expect("sink write");
         });

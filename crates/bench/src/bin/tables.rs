@@ -58,9 +58,7 @@ fn main() {
 fn stats_json() {
     eprintln!("== stats-json: per-pair machine-readable engine stats =========");
     for p in suite() {
-        let outcome = cec::Prover::new(cec::CecOptions::default())
-            .prove(&p.a, &p.b)
-            .expect("prove runs");
+        let outcome = exp::sweep_prove(&p);
         let stats = match &outcome {
             cec::CecOutcome::Equivalent(cert) => &cert.stats,
             cec::CecOutcome::Inequivalent { stats, .. } => stats,

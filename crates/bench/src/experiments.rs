@@ -2,7 +2,7 @@
 
 use crate::workloads::Pair;
 use cec::monolithic::{prove_monolithic, MonolithicOptions};
-use cec::{CecOptions, CecOutcome, Miter, Prover, SimClasses};
+use cec::{CecOutcome, EngineConfig, Miter, Session, SharedContext, SimClasses};
 use cnf::tseitin::{self, Partition};
 use proof::{ClauseId, Proof};
 use sat::{SolveResult, Solver};
@@ -12,11 +12,20 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// Runs the sweeping engine under `config`, without tracing or metrics.
+///
+/// # Panics
+///
+/// If the pair's interfaces do not match.
+pub fn check(config: EngineConfig, a: &aig::Aig, b: &aig::Aig) -> CecOutcome {
+    Session::new(config, &SharedContext::disabled())
+        .check(a, b)
+        .expect("well-formed pair")
+}
+
 /// Runs the sweeping engine with default (proof-recording) options.
 pub fn sweep_prove(pair: &Pair) -> CecOutcome {
-    Prover::new(CecOptions::default())
-        .prove(&pair.a, &pair.b)
-        .expect("well-formed pair")
+    check(EngineConfig::default(), &pair.a, &pair.b)
 }
 
 /// Runs the monolithic baseline with proof recording.
@@ -233,9 +242,9 @@ impl Ablation {
         }
     }
 
-    /// The engine options for this configuration.
-    pub fn options(self) -> CecOptions {
-        let mut o = CecOptions::default();
+    /// The engine configuration for this ablation.
+    pub fn options(self) -> EngineConfig {
+        let mut o = EngineConfig::default();
         match self {
             Ablation::Full => {}
             Ablation::NoStructuralMerge => o.structural_merging = false,
@@ -275,9 +284,7 @@ pub fn run_t4(pairs: &[Pair]) -> Vec<T4Row> {
     for p in pairs {
         for config in Ablation::all() {
             let t = Instant::now();
-            let outcome = Prover::new(config.options())
-                .prove(&p.a, &p.b)
-                .expect("well-formed pair");
+            let outcome = check(config.options(), &p.a, &p.b);
             let solve_ms = ms(t.elapsed());
             let stats = outcome.stats();
             rows.push(T4Row {
@@ -351,12 +358,11 @@ pub fn run_t5(pairs: &[Pair]) -> Vec<T5Row> {
                 .expect("interpolation from trimmed proof");
 
             // Sweeping-proof interpolant (unshared miter).
-            let sweep_outcome = Prover::new(CecOptions {
+            let unshared = EngineConfig {
                 share_structure: false,
-                ..CecOptions::default()
-            })
-            .prove(&p.a, &p.b)
-            .expect("well-formed pair");
+                ..EngineConfig::default()
+            };
+            let sweep_outcome = check(unshared, &p.a, &p.b);
             let sweep_itp_gates = sweep_outcome
                 .certificate()
                 .expect("equivalent")
@@ -476,7 +482,7 @@ pub fn run_t7(pairs: &[Pair]) -> Vec<T7Row> {
         .map(|p| {
             let g = redundant_union(p);
             let t = Instant::now();
-            let reduced = cec::reduce(&g, &CecOptions::default());
+            let reduced = cec::reduce(&g, &EngineConfig::default());
             let reduce_ms = ms(t.elapsed());
             T7Row {
                 name: p.name.clone(),
@@ -646,9 +652,7 @@ pub fn run_f3(widths: &[usize], node_limit: usize, max_sweep_width: usize) -> Ve
             };
             let sweep_ms = (width <= max_sweep_width).then(|| {
                 let t = Instant::now();
-                let outcome = Prover::new(CecOptions::default())
-                    .prove(&a, &b)
-                    .expect("well-formed pair");
+                let outcome = check(EngineConfig::default(), &a, &b);
                 assert!(outcome.is_equivalent());
                 ms(t.elapsed())
             });

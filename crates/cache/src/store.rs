@@ -344,11 +344,11 @@ mod tests {
     use super::*;
     use crate::canon::CanonicalPair;
     use aig::gen::{kogge_stone_adder, mutate, ripple_carry_adder};
-    use cec::{CecOptions, Prover};
+    use cec::{EngineConfig, Session, SharedContext};
 
     fn prove_verdict(pair: &CanonicalPair) -> CachedVerdict {
-        let outcome = Prover::new(CecOptions::default())
-            .prove(&pair.a, &pair.b)
+        let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
+            .check(&pair.a, &pair.b)
             .unwrap();
         match outcome {
             cec::CecOutcome::Equivalent(cert) => {

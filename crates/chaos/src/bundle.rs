@@ -12,7 +12,10 @@
 //! *rejected with a diagnostic*, never accepted, never a panic.
 
 use aig::Aig;
-use cec::{miter_cnf, CecError, CecOptions, CecOutcome, CrashPoint, Durable, Miter, Prover};
+use cec::{
+    miter_cnf, CecError, CecOutcome, CrashPoint, Durable, EngineConfig, Miter, Session,
+    SharedContext,
+};
 use lint::{
     lint_bundle, lint_drat, lint_journal, read_tracecheck, Artifact, Bundle, CertificateInfo,
     LintOptions, Report, XB010, XB011,
@@ -177,7 +180,7 @@ pub fn prove_and_emit(
     dir: &Path,
     a: &Aig,
     b: &Aig,
-    options: &CecOptions,
+    options: &EngineConfig,
     crash: Option<CrashPoint>,
     resume: bool,
 ) -> Result<CecOutcome, EmitError> {
@@ -199,7 +202,11 @@ pub fn prove_and_emit(
     if let Some(c) = crash {
         durable.arm(c);
     }
-    let outcome = Prover::new(options.clone()).prove_durable(a, b, &mut durable)?;
+    let outcome = Session::new(options.clone(), &SharedContext::disabled()).check_durable(
+        a,
+        b,
+        &mut durable,
+    )?;
     drop(durable);
 
     let miter = Miter::build(a, b, options.share_structure);
@@ -519,8 +526,8 @@ mod tests {
         p
     }
 
-    fn options() -> CecOptions {
-        CecOptions::default()
+    fn options() -> EngineConfig {
+        EngineConfig::default()
     }
 
     #[test]

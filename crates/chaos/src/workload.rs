@@ -11,7 +11,7 @@
 
 use crate::bundle::{check_bundle, prove_and_emit, EmitError};
 use aig::{gen, Aig};
-use cec::{CecError, CecOptions, CecOutcome, CrashMode, CrashPoint};
+use cec::{CecError, CecOutcome, CrashMode, CrashPoint, EngineConfig};
 use lint::LintOptions;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -134,7 +134,7 @@ fn prove_checked(
     dir: &Path,
     a: &Aig,
     b: &Aig,
-    options: &CecOptions,
+    options: &EngineConfig,
     crash: Option<&CrashPoint>,
     report: &mut WorkloadReport,
     what: &str,
@@ -188,10 +188,10 @@ pub fn run_workload(dir: &Path, options: &WorkloadOptions) -> WorkloadReport {
         let width = rng.gen_range(2..=8);
         let (a, b) = generate_pair(name, width).expect("registered pair");
         let what = format!("op {op} ({name}/{width})");
-        let cec_options = CecOptions {
+        let cec_options = EngineConfig {
             threads: options.threads,
             seed: rng.gen(),
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let crash = if options.crash_every > 0 && (op + 1) % options.crash_every == 0 {
             let phase = *cec::journal::PHASES.choose(&mut rng).expect("non-empty");

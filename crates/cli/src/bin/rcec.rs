@@ -84,7 +84,7 @@
 
 use cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
 use cec::monolithic::{prove_monolithic, MonolithicOptions};
-use cec::{CecOptions, CecOutcome, Prover};
+use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use cec_tools::{exit, trace, Args};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -218,13 +218,11 @@ fn run() -> Result<i32, String> {
             },
         )
     } else {
-        let mut options = CecOptions {
+        let mut options = EngineConfig {
             lint_proof: args.has("lint-proof"),
             lint_bundle: args.has("lint-bundle"),
             verify: args.has("check"),
-            recorder: recorder.clone(),
-            metrics: metrics.clone(),
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         if args.has("no-struct") {
             options.structural_merging = false;
@@ -263,7 +261,8 @@ fn run() -> Result<i32, String> {
         if args.has("share-learnts") {
             options.share_learnts = true;
         }
-        Prover::new(options).prove(&a, &b)
+        let ctx = SharedContext::new(recorder.clone(), metrics.clone());
+        Session::new(options, &ctx).check(&a, &b)
     }
     .map_err(|e| e.to_string())?;
 

@@ -138,10 +138,10 @@ fn read_pair(paths: &BundlePaths) -> Result<(aig::Aig, aig::Aig), String> {
 fn cmd_prove(args: &Args) -> Result<i32, String> {
     let paths = dir_of(args)?;
     let (a, b) = read_pair(&paths)?;
-    let options = cec::CecOptions {
+    let options = cec::EngineConfig {
         threads: parse_u64(args, "threads", 1)? as usize,
         seed: parse_u64(args, "seed", 1)?,
-        ..cec::CecOptions::default()
+        ..cec::EngineConfig::default()
     };
     let crash = match (args.value("crash"), args.value("abort-at")) {
         (Some(_), Some(_)) => {

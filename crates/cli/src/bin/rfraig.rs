@@ -28,7 +28,7 @@
 //!
 //! Exit codes: 0 success, 2 error.
 
-use cec::{reduce_with_stats, CecOptions, Prover};
+use cec::{reduce_with_stats, EngineConfig, Session, SharedContext};
 use cec_tools::{exit, trace, Args};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -77,11 +77,11 @@ fn run() -> Result<i32, String> {
     let f = File::open(in_path).map_err(|e| format!("{in_path}: {e}"))?;
     let input = aig::aiger::read(BufReader::new(f)).map_err(|e| format!("{in_path}: {e}"))?;
 
-    let recorder = trace::recorder_for(&args);
-    let mut options = CecOptions {
-        recorder: recorder.clone(),
-        ..CecOptions::default()
-    };
+    let ctx = SharedContext::new(
+        trace::recorder_for(&args),
+        obs::metrics::Metrics::disabled(),
+    );
+    let mut options = EngineConfig::default();
     if let Some(v) = args.value("limit") {
         let limit: u64 = v.parse().map_err(|e| format!("--limit: {e}"))?;
         options.pair_conflict_limit = Some(limit);
@@ -100,7 +100,7 @@ fn run() -> Result<i32, String> {
         }
         options.pairs_per_worker = Some(pairs);
     }
-    let (reduced, stats) = reduce_with_stats(&input, &options);
+    let (reduced, stats) = reduce_with_stats(&input, &options, &ctx);
     if !args.has("quiet") {
         eprintln!(
             "reduced {} -> {} AND gates ({:.1}% removed)",
@@ -119,17 +119,17 @@ fn run() -> Result<i32, String> {
     }
 
     if args.has("verify") {
-        let outcome = Prover::new(CecOptions {
+        let verify = EngineConfig {
             verify: true,
             lint_proof: args.has("lint-proof"),
             lint_bundle: args.has("lint-bundle"),
             threads: options.threads,
             pairs_per_worker: options.pairs_per_worker,
-            recorder: recorder.clone(),
-            ..CecOptions::default()
-        })
-        .prove(&input, &reduced)
-        .map_err(|e| e.to_string())?;
+            ..EngineConfig::default()
+        };
+        let outcome = Session::new(verify, &ctx)
+            .check(&input, &reduced)
+            .map_err(|e| e.to_string())?;
         if !outcome.is_equivalent() {
             return Err("internal error: reduction changed the function".into());
         }
@@ -147,7 +147,7 @@ fn run() -> Result<i32, String> {
             eprintln!("verified: reduction is equivalence-preserving (proof checked)");
         }
     }
-    trace::write_trace_files(&recorder, &args)?;
+    trace::write_trace_files(&ctx.recorder, &args)?;
 
     let f = File::create(out_path).map_err(|e| format!("{out_path}: {e}"))?;
     let mut w = BufWriter::new(f);

@@ -211,11 +211,13 @@ mod tests {
 
     #[test]
     fn agrees_with_sat_engine() {
-        use crate::{CecOptions, Prover};
+        use crate::{EngineConfig, Session, SharedContext};
         let a = gen::alu(4, gen::AluArch::Ripple);
         let b = gen::alu(4, gen::AluArch::KoggeStone);
         let bddv = prove_bdd(&a, &b, &BddOptions::default()).unwrap();
-        let satv = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+        let satv = Session::new(EngineConfig::default(), &SharedContext::disabled())
+            .check(&a, &b)
+            .unwrap();
         assert!(matches!(bddv, BddVerdict::Equivalent { .. }));
         assert!(satv.is_equivalent());
     }

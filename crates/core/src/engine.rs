@@ -27,8 +27,8 @@
 
 use crate::journal::Durable;
 use crate::miter::Miter;
-use crate::outcome::{CecError, CecOutcome, DispatchStats, EngineStats, WorkerStats};
-use crate::session::{EngineConfig, Session, SharedContext};
+use crate::outcome::{CecError, DispatchStats, EngineStats, WorkerStats};
+use crate::session::{EngineConfig, SharedContext};
 use crate::sim::SimClasses;
 use aig::{Aig, NodeId};
 use cnf::tseitin::Partition;
@@ -45,7 +45,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineSelect {
     /// One engine for every candidate pair: SAT, budgeted uniformly by
-    /// [`CecOptions::pair_conflict_limit`] (or not at all).
+    /// [`EngineConfig::pair_conflict_limit`] (or not at all).
     #[default]
     Static,
     /// Per-pair dispatch from static hardness analysis plus the
@@ -62,234 +62,6 @@ pub enum EngineSelect {
     Adaptive,
 }
 
-/// Options controlling a [`Prover`] run.
-#[derive(Clone, Debug)]
-pub struct CecOptions {
-    /// 64-bit random simulation words used to seed the candidate
-    /// classes.
-    pub sim_words: usize,
-    /// Seed for the simulation patterns.
-    pub seed: u64,
-    /// Share the structural hash table across the two circuits when
-    /// building the miter.
-    pub share_structure: bool,
-    /// Merge nodes whose fanins are proven equivalent by pure
-    /// resolution (no SAT call).
-    pub structural_merging: bool,
-    /// Run SAT sweeping at all; with `false` the engine degenerates to
-    /// a monolithic solve of the miter (the baseline of experiment T2).
-    pub sweep: bool,
-    /// Conflict budget per sweeping SAT call. Candidate pairs whose
-    /// calls run out are *skipped* (left unmerged), which is always
-    /// sound; the final miter solve runs unbudgeted. `None` = complete
-    /// sweeping.
-    pub pair_conflict_limit: Option<u64>,
-    /// Worker threads for the sweeping phase. `1` (the default) runs the
-    /// classical sequential sweep; `> 1` deals windows of candidate
-    /// pairs round-robin onto persistent worker threads, each with a
-    /// private incremental solver kept in sync with the shared clause
-    /// database by replaying its clause feed, and stitches the workers'
-    /// derivations back into the one global proof in a fixed
-    /// worker-then-discovery order — so the verdict *and* the proof are
-    /// byte-for-byte deterministic for a given seed and thread count.
-    pub threads: usize,
-    /// Candidate pairs dealt to each worker per parallel round. The
-    /// window trades per-round synchronization cost against lemma
-    /// locality: pairs are discharged in topological order, so a small
-    /// window means a pair's fanin-cone equivalences were almost always
-    /// merged in an earlier round and reach the worker as unit-strength
-    /// lemma clauses — keeping per-pair conflict work near the
-    /// sequential level — while a large window forces workers to
-    /// re-derive in-flight predecessors from scratch.
-    ///
-    /// `None` (the default) auto-tunes the window between rounds from
-    /// the observed per-worker conflict imbalance — a deterministic
-    /// signal, so proofs stay byte-reproducible per (seed, threads).
-    /// `Some(n)` pins the window, preserving the old fixed behavior.
-    pub pairs_per_worker: Option<usize>,
-    /// Discharge-scheduling policy; see [`EngineSelect`].
-    pub engine: EngineSelect,
-    /// Share worker learnt clauses between parallel-sweep workers
-    /// through the clause feed; see
-    /// [`EngineConfig::share_learnts`](crate::EngineConfig::share_learnts).
-    /// Off by default — proofs then stay byte-identical to builds
-    /// without sharing.
-    pub share_learnts: bool,
-    /// Record a resolution proof.
-    pub proof: bool,
-    /// Run the static-analysis lint pass over the recorded proof before
-    /// returning: lint counts land in [`EngineStats::lints`] and the
-    /// full report in [`crate::Certificate::lint_report`]. Much cheaper
-    /// than [`CecOptions::verify`]'s full replay, and localizes defects
-    /// instead of rejecting wholesale.
-    pub lint_proof: bool,
-    /// Run the cross-artifact bundle lint on top of the proof lint: the
-    /// engine re-derives its own miter CNF via [`miter_cnf`] and checks
-    /// AIG↔CNF↔proof↔certificate binding with [`lint::lint_bundle`].
-    /// Implies the proof lint; counts and report land in the same
-    /// places.
-    pub lint_bundle: bool,
-    /// Re-check the recorded proof with the independent checker before
-    /// returning, and validate counterexamples by evaluation. Failures
-    /// become [`CecError`]s instead of silently wrong verdicts.
-    pub verify: bool,
-    /// Trace recorder for the run. The default is
-    /// [`obs::Recorder::disabled`] — no events, near-zero overhead.
-    /// Attach an enabled recorder to capture per-phase spans, per-call
-    /// SAT telemetry, and solver restart / reduce-DB events, then
-    /// export with [`obs::export`]. Parallel workers record on logical
-    /// thread ids `1..=threads`; the coordinator records on `0`.
-    pub recorder: Recorder,
-    /// Live metrics registry for the run. The default is
-    /// [`obs::metrics::Metrics::disabled`] — every update costs one
-    /// branch. Attach an enabled registry (and typically an
-    /// [`obs::metrics::Sampler`]) to watch the engine's counters, queue
-    /// depths, and per-worker rates as a `metrics-v1` time series while
-    /// it runs. Metric names are listed in DESIGN.md.
-    pub metrics: Metrics,
-}
-
-impl Default for CecOptions {
-    fn default() -> Self {
-        CecOptions {
-            sim_words: 16,
-            seed: 0xC0FFEE,
-            share_structure: true,
-            structural_merging: true,
-            sweep: true,
-            pair_conflict_limit: None,
-            threads: 1,
-            pairs_per_worker: None,
-            engine: EngineSelect::Static,
-            share_learnts: false,
-            proof: true,
-            lint_proof: false,
-            lint_bundle: false,
-            verify: false,
-            recorder: Recorder::disabled(),
-            metrics: Metrics::disabled(),
-        }
-    }
-}
-
-impl CecOptions {
-    /// Splits the flat options into the session layer's two halves: the
-    /// pure-knob [`EngineConfig`] and the shared-handle
-    /// [`SharedContext`]. The handles are `Arc`-backed, so the split is
-    /// cheap and the returned context observes the same recorder and
-    /// metrics registry as the original options.
-    pub fn split(&self) -> (EngineConfig, SharedContext) {
-        (
-            EngineConfig {
-                sim_words: self.sim_words,
-                seed: self.seed,
-                share_structure: self.share_structure,
-                structural_merging: self.structural_merging,
-                sweep: self.sweep,
-                pair_conflict_limit: self.pair_conflict_limit,
-                threads: self.threads,
-                pairs_per_worker: self.pairs_per_worker,
-                engine: self.engine,
-                share_learnts: self.share_learnts,
-                proof: self.proof,
-                lint_proof: self.lint_proof,
-                lint_bundle: self.lint_bundle,
-                verify: self.verify,
-            },
-            SharedContext::new(self.recorder.clone(), self.metrics.clone()),
-        )
-    }
-
-    /// Reassembles flat options from the two session-layer halves —
-    /// the inverse of [`CecOptions::split`].
-    pub fn from_parts(config: &EngineConfig, ctx: &SharedContext) -> Self {
-        CecOptions {
-            sim_words: config.sim_words,
-            seed: config.seed,
-            share_structure: config.share_structure,
-            structural_merging: config.structural_merging,
-            sweep: config.sweep,
-            pair_conflict_limit: config.pair_conflict_limit,
-            threads: config.threads,
-            pairs_per_worker: config.pairs_per_worker,
-            engine: config.engine,
-            share_learnts: config.share_learnts,
-            proof: config.proof,
-            lint_proof: config.lint_proof,
-            lint_bundle: config.lint_bundle,
-            verify: config.verify,
-            recorder: ctx.recorder.clone(),
-            metrics: ctx.metrics.clone(),
-        }
-    }
-}
-
-/// The equivalence checker.
-///
-/// # Example
-///
-/// ```
-/// use aig::gen::{kogge_stone_adder, ripple_carry_adder};
-/// use cec::{CecOptions, Prover};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let a = ripple_carry_adder(8);
-/// let b = kogge_stone_adder(8);
-/// let outcome = Prover::new(CecOptions::default()).prove(&a, &b)?;
-/// let cert = outcome.certificate().expect("adders are equivalent");
-/// proof::check::check_refutation(cert.proof.as_ref().unwrap())?;
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Prover {
-    options: CecOptions,
-}
-
-impl Prover {
-    /// Creates a prover with the given options.
-    pub fn new(options: CecOptions) -> Self {
-        Prover { options }
-    }
-
-    /// The options this prover runs with.
-    pub fn options(&self) -> &CecOptions {
-        &self.options
-    }
-
-    /// Checks whether `a` and `b` are combinationally equivalent.
-    ///
-    /// # Errors
-    ///
-    /// [`CecError::InterfaceMismatch`] / [`CecError::NoOutputs`] for
-    /// malformed inputs; with [`CecOptions::verify`] also
-    /// [`CecError::ProofRejected`] / [`CecError::BogusCounterexample`]
-    /// if the engine's own output fails independent validation.
-    pub fn prove(&self, a: &Aig, b: &Aig) -> Result<CecOutcome, CecError> {
-        self.prove_durable(a, b, &mut Durable::disabled())
-    }
-
-    /// [`Prover::prove`] with a [`Durable`] run-state handle: phase
-    /// checkpoints are journaled (or, on resume, validated against the
-    /// journal's prefix) and any armed crash point fires at its phase.
-    /// With [`Durable::disabled`] this is exactly `prove`.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Prover::prove`] reports, plus
-    /// [`CecError::CrashInjected`] / [`CecError::Journal`] /
-    /// [`CecError::ReplayDivergence`] from the durability machinery.
-    pub fn prove_durable(
-        &self,
-        a: &Aig,
-        b: &Aig,
-        durable: &mut Durable,
-    ) -> Result<CecOutcome, CecError> {
-        let (config, ctx) = self.options.split();
-        Session::new(config, &ctx).check_durable(a, b, durable)
-    }
-}
-
 /// Functionally reduces a circuit by SAT sweeping (FRAIG): nodes proven
 /// equivalent (up to complement) are merged onto one representative and
 /// the graph is rebuilt over the survivors.
@@ -298,17 +70,18 @@ impl Prover {
 /// the same simulation / SAT / structural-merge machinery, pointed at a
 /// single circuit instead of a miter. The result is functionally
 /// equivalent to the input on every output (verify with
-/// [`Prover::prove`] if desired) and never larger after cleanup.
+/// [`Session::check`](crate::Session::check) if desired) and never
+/// larger after cleanup.
 ///
 /// Proof logging is disabled internally: there is no refutation to
 /// certify, only a rewritten circuit. The `proof` and `verify` fields of
-/// `options` are ignored.
+/// `config` are ignored.
 ///
 /// # Example
 ///
 /// ```
 /// use aig::Aig;
-/// use cec::{reduce, CecOptions};
+/// use cec::{reduce, EngineConfig};
 ///
 /// // Build a graph with two structurally different copies of x XOR y:
 /// // !((x&y) | (!x&!y)) and (x&!y) | (!x&y).
@@ -324,46 +97,38 @@ impl Prover {
 /// g.add_output(a);
 /// g.add_output(b);
 ///
-/// let reduced = reduce(&g, &CecOptions::default());
+/// let reduced = reduce(&g, &EngineConfig::default());
 /// assert!(reduced.num_ands() < g.num_ands());
 /// assert_eq!(aig::sim::exhaustive_diff(&g, &reduced, 4), None);
 /// ```
-pub fn reduce(graph: &Aig, options: &CecOptions) -> Aig {
-    reduce_with_stats(graph, options).0
+pub fn reduce(graph: &Aig, config: &EngineConfig) -> Aig {
+    reduce_with_stats(graph, config, &SharedContext::disabled()).0
 }
 
 /// [`reduce`] with the sweep's run counters: SAT calls, merges,
 /// refinements, per-phase times, and (in parallel mode) per-worker
-/// stats, exactly as [`Prover::prove`] reports them. The stats'
-/// `elapsed` covers the sweep and the rebuild.
-pub fn reduce_with_stats(graph: &Aig, options: &CecOptions) -> (Aig, EngineStats) {
+/// stats, exactly as [`Session::check`](crate::Session::check) reports
+/// them. The stats' `elapsed` covers the sweep and the rebuild. The
+/// sweep reports into `ctx`'s recorder and metrics registry.
+pub fn reduce_with_stats(
+    graph: &Aig,
+    config: &EngineConfig,
+    ctx: &SharedContext,
+) -> (Aig, EngineStats) {
     let start = Instant::now();
-    let (mut local, ctx) = options.split();
-    local.proof = false;
-    local.verify = false;
-    let rec = &ctx.recorder;
-    let mut sweep = Sweep::new(graph, &local, &ctx, None);
+    let local = EngineConfig {
+        proof: false,
+        verify: false,
+        ..config.clone()
+    };
+    let mut sweep = Sweep::new(graph, &local, ctx, None);
     sweep.stats.miter_nodes = graph.len();
     sweep.stats.circuit_nodes = graph.len();
-    if local.sweep {
-        let sweep_start = Instant::now();
-        // A disabled durable never journals and never crashes, so the
-        // sweep cannot fail here.
-        let mut durable = Durable::disabled();
-        if local.threads > 1 {
-            sweep
-                .run_parallel(local.threads, &mut durable)
-                .expect("disabled durable cannot fail");
-        } else {
-            sweep.solver.set_conflict_budget(local.pair_conflict_limit);
-            sweep
-                .run(&mut durable)
-                .expect("disabled durable cannot fail");
-        }
-        let sweep_time = sweep_start.elapsed();
-        rec.complete("sweep", TID_COORDINATOR, sweep_start, sweep_time);
-        sweep.stats.phases.sweep = sweep_time.saturating_sub(sweep.stats.phases.sim);
-    }
+    // A disabled durable never journals and never crashes, so the sweep
+    // cannot fail here.
+    sweep
+        .sweep(&mut Durable::disabled())
+        .expect("disabled durable cannot fail");
     // Rebuild the graph over representatives.
     let mut out = Aig::with_capacity(graph.len());
     let mut map: Vec<aig::Lit> = vec![aig::Lit::FALSE; graph.len()];
@@ -388,31 +153,25 @@ pub fn reduce_with_stats(graph: &Aig, options: &CecOptions) -> (Aig, EngineStats
         out.add_output(l);
     }
     let reduced = out.cleanup();
-    let mut stats = sweep.finish(start);
+    let mut stats = sweep.finish();
     stats.elapsed = start.elapsed();
     (reduced, stats)
 }
 
-/// Why a candidate pair could not be merged.
-enum PairFailure {
-    /// The pair is genuinely inequivalent; refine with this pattern.
-    Counterexample(Vec<bool>),
-    /// The per-pair conflict budget ran out; skip the pair.
-    BudgetExhausted,
-}
-
-/// A parallel-sweep worker's verdict on one sharded candidate pair.
-/// Clause ids are in the worker's private proof id space.
+/// The outcome of discharging one candidate pair `v_n ≡ target`.
 enum PairVerdict {
-    /// Both implications proven; the canonical lemma steps are the
-    /// roots to stitch into the global proof.
+    /// Both implications proven; the canonical lemma steps, in the
+    /// discharging solver's proof id space (`None` without proof
+    /// logging).
     Proved {
         fwd: Option<ClauseId>,
         bwd: Option<ClauseId>,
     },
-    /// A model distinguished the pair; refine the classes with it.
-    Refuted { pattern: Vec<bool> },
-    /// The per-pair conflict budget ran out.
+    /// A model distinguished the pair; refine the classes with this
+    /// input pattern.
+    Refuted(Vec<bool>),
+    /// The per-pair conflict budget ran out; the pair stays unmerged,
+    /// which is always sound.
     Skipped,
 }
 
@@ -433,6 +192,30 @@ struct FeedClause {
     learnt: bool,
 }
 
+impl FeedClause {
+    /// The two lemma clauses `(¬v_n ∨ target)` and `(v_n ∨ ¬target)` of
+    /// the merge `v_n ≡ target`, backed by the global steps `fwd`/`bwd`.
+    fn lemmas(
+        n: NodeId,
+        target: Lit,
+        fwd: Option<ClauseId>,
+        bwd: Option<ClauseId>,
+        origin: Option<usize>,
+    ) -> [FeedClause; 2] {
+        let vn = Var::new(n.index());
+        let clause = |lits, id| FeedClause {
+            lits,
+            id,
+            origin,
+            learnt: false,
+        };
+        [
+            clause(vec![vn.negative(), target], fwd),
+            clause(vec![vn.positive(), !target], bwd),
+        ]
+    }
+}
+
 /// Maximum literal count of a learnt clause exported for cross-worker
 /// sharing: short clauses prune the most search per byte shipped.
 const SHARE_LEARNT_MAX_LEN: usize = 8;
@@ -440,16 +223,6 @@ const SHARE_LEARNT_MAX_LEN: usize = 8;
 /// Maximum learnt clauses one worker exports per round, bounding feed
 /// growth (every export is replayed by every other worker).
 const SHARE_LEARNT_MAX_PER_ROUND: usize = 32;
-
-/// What [`WorkerState::round`] hands back: verdicts in discovery order,
-/// the round's counters, dispatch/import counters, and any learnt
-/// clauses drained for sharing.
-type RoundOutput = (
-    Vec<(usize, PairVerdict)>,
-    WorkerStats,
-    DispatchStats,
-    Vec<(Vec<Lit>, Option<ClauseId>)>,
-);
 
 /// One round's work order for a parallel-sweep worker thread: the
 /// worker's own state (shipped back and forth so the sequential merge
@@ -464,11 +237,12 @@ struct WorkerJob {
 /// What a worker thread sends back after a round.
 struct WorkerReport {
     state: WorkerState,
+    /// Verdicts in discovery order, keyed by index into the round's
+    /// pair list.
     results: Vec<(usize, PairVerdict)>,
     stats: WorkerStats,
-    /// BDD-probe counters of this round (budget counters are recorded
-    /// by the coordinator, which issues the dispatches), plus this
-    /// round's learnt import count.
+    /// Budget and BDD-probe counters of this round, plus this round's
+    /// learnt import count.
     dispatch: DispatchStats,
     /// Learnt clauses drained from the worker's solver this round for
     /// cross-worker sharing, as `(literals, local proof id)`. Empty
@@ -476,64 +250,230 @@ struct WorkerReport {
     learnts: Vec<(Vec<Lit>, Option<ClauseId>)>,
 }
 
-/// A persistent parallel-sweep worker: a private incremental SAT solver
-/// that lives across rounds (keeping its learnt clauses and saved
+/// The pair-discharge component: one incremental solver with its trace
+/// thread id, recorder and live counters. It is the only code that
+/// discharges a candidate pair — the sequential sweep owns one over the
+/// global clause database, every parallel-sweep worker owns one over its
+/// private copy — and does so in one way: optional BDD probe and
+/// per-pair conflict budget, two assumption-based SAT calls, each proven
+/// direction committed as a canonical lemma, and on SAT the model's input
+/// pattern. Its counters accumulate in a tally the owner takes.
+pub(crate) struct Discharger {
+    pub(crate) solver: Solver,
+    proof: bool,
+    recorder: Recorder,
+    tid: u32,
+    /// Live per-call counters: `cec.*` engine-wide for the sequential
+    /// sweep, `cec.worker<w>.*` for a worker (updated from the worker
+    /// thread itself so the sampler sees intra-round progress).
+    m_sat_calls: metrics::Counter,
+    m_conflicts: metrics::Counter,
+    /// Live per-commit lemma counter (workers only; the sweep counts
+    /// lemmas per merge).
+    m_lemmas: metrics::Counter,
+    m_bdd_calls: metrics::Counter,
+    /// Discharge counters since the last [`Discharger::take_tally`].
+    tally: WorkerStats,
+    dispatch: DispatchStats,
+}
+
+impl Discharger {
+    /// The sequential sweep's discharger over the global `solver`; trace
+    /// events go to the coordinator thread id.
+    fn coordinator(solver: Solver, proof: bool, ctx: &SharedContext) -> Self {
+        let m = &ctx.metrics;
+        Discharger {
+            solver,
+            proof,
+            recorder: ctx.recorder.clone(),
+            tid: TID_COORDINATOR,
+            m_sat_calls: m.counter("cec.sat_calls"),
+            m_conflicts: m.counter("cec.conflicts"),
+            m_lemmas: metrics::Counter::default(),
+            m_bdd_calls: m.counter("cec.dispatch.bdd_calls"),
+            tally: WorkerStats::default(),
+            dispatch: DispatchStats::default(),
+        }
+    }
+
+    /// Parallel-sweep worker `w`'s discharger over a fresh private solver
+    /// with `num_vars` variables, whose restart / reduce-DB events are
+    /// traced on the worker's thread id.
+    fn worker(w: usize, proof: bool, num_vars: u32, ctx: &SharedContext) -> Self {
+        let mut solver = new_solver(proof);
+        solver.ensure_vars(num_vars);
+        let tid = worker_tid(w);
+        solver.set_recorder(ctx.recorder.clone(), tid);
+        let m = &ctx.metrics;
+        Discharger {
+            solver,
+            proof,
+            recorder: ctx.recorder.clone(),
+            tid,
+            m_sat_calls: m.counter(&format!("cec.worker{w}.sat_calls")),
+            m_conflicts: m.counter(&format!("cec.worker{w}.conflicts")),
+            m_lemmas: m.counter(&format!("cec.worker{w}.lemmas")),
+            m_bdd_calls: m.counter("cec.dispatch.bdd_calls"),
+            tally: WorkerStats::default(),
+            dispatch: DispatchStats::default(),
+        }
+    }
+
+    /// Hands over (and resets) the counters accumulated so far.
+    fn take_tally(&mut self) -> (WorkerStats, DispatchStats) {
+        (
+            std::mem::take(&mut self.tally),
+            std::mem::take(&mut self.dispatch),
+        )
+    }
+
+    /// Discharges one candidate pair as routed: optional BDD probe,
+    /// per-pair conflict budget, then the two-call SAT proof.
+    fn discharge(&mut self, graph: &Aig, n: NodeId, target: Lit, d: Dispatch) -> PairVerdict {
+        let budget = if d.try_bdd {
+            self.dispatch.bdd_calls += 1;
+            self.m_bdd_calls.inc();
+            match bdd_probe(graph, n, target, BDD_PROBE_NODE_LIMIT) {
+                BddProbe::Refuted(pattern) => {
+                    self.dispatch.bdd_refuted += 1;
+                    return PairVerdict::Refuted(pattern);
+                }
+                BddProbe::Confirmed => {
+                    // The pair is equivalent; run the lemma extraction
+                    // unbudgeted so the confirmation cannot be wasted.
+                    self.dispatch.bdd_confirmed += 1;
+                    None
+                }
+                BddProbe::Inconclusive => {
+                    self.dispatch.bdd_overflow += 1;
+                    d.budget
+                }
+            }
+        } else {
+            d.budget
+        };
+        record_budget(&mut self.dispatch, budget);
+        self.solver.set_conflict_budget(budget);
+        self.prove(graph, n, target)
+    }
+
+    /// Attempts to prove `v_n ≡ target` with two incremental SAT calls
+    /// (`v_n ∧ ¬target`, then `¬v_n ∧ target`, each unsatisfiable?),
+    /// committing each proven direction as a canonical lemma so later
+    /// pairs resolve against it.
+    fn prove(&mut self, graph: &Aig, n: NodeId, target: Lit) -> PairVerdict {
+        let vn = Var::new(n.index());
+        let directions = [
+            ([vn.positive(), !target], [vn.negative(), target]),
+            ([vn.negative(), target], [vn.positive(), !target]),
+        ];
+        let mut lemmas = [None; 2];
+        for (lemma, (assumptions, canonical)) in lemmas.iter_mut().zip(directions) {
+            self.tally.sat_calls += 1;
+            match self.traced_solve(&assumptions, n) {
+                SolveResult::Sat => {
+                    self.tally.sat_cex += 1;
+                    return PairVerdict::Refuted(self.model_pattern(graph));
+                }
+                SolveResult::Unknown => return PairVerdict::Skipped,
+                SolveResult::Unsat => self.tally.sat_unsat += 1,
+            }
+            *lemma = self.commit_lemma(&canonical);
+        }
+        self.tally.merges += 1;
+        let [fwd, bwd] = lemmas;
+        PairVerdict::Proved { fwd, bwd }
+    }
+
+    /// One sweeping SAT call with per-call telemetry: the conflict delta
+    /// is always recorded into the tally's histogram (cheap) and into the
+    /// live call/conflict counters (one branch each when metrics are
+    /// off); a `sat_call` span with node / verdict / conflict / decision
+    /// / propagation args is recorded when tracing is enabled.
+    fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
+        let before = *self.solver.stats();
+        let mut span = self.recorder.span("sat_call", self.tid);
+        let result = self.solver.solve_with(assumptions);
+        let after = self.solver.stats();
+        let conflicts = after.conflicts - before.conflicts;
+        self.tally.conflict_hist.record(conflicts);
+        self.m_sat_calls.inc();
+        self.m_conflicts.add(conflicts);
+        if span.is_enabled() {
+            span.arg("node", u64::from(n.index()));
+            span.arg(
+                "verdict",
+                match result {
+                    SolveResult::Sat => "sat",
+                    SolveResult::Unsat => "unsat",
+                    SolveResult::Unknown => "unknown",
+                },
+            );
+            span.arg("conflicts", conflicts);
+            span.arg("decisions", after.decisions - before.decisions);
+            span.arg("propagations", after.propagations - before.propagations);
+        }
+        result
+    }
+
+    /// Commits the solver's final conflict clause and derives the
+    /// canonical two-literal lemma from it by weakening.
+    fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
+        let committed = self.solver.commit_final_clause();
+        self.tally.lemmas += 1;
+        self.m_lemmas.inc();
+        if self.proof {
+            let id = committed.expect("proof mode final clause id");
+            if let Some(p) = self.solver.proof() {
+                self.tally
+                    .lemma_chain_hist
+                    .record(p.step(id).antecedents.len() as u64);
+            }
+            let lemma = self.solver.add_derived_clause(canonical, &[id]);
+            self.solver.tag_proof_step(lemma, StepRole::Lemma);
+            Some(lemma)
+        } else {
+            // Still add the canonical form for propagation strength.
+            self.solver.add_clause(canonical);
+            None
+        }
+    }
+
+    /// The input pattern of the solver's current model.
+    pub(crate) fn model_pattern(&self, graph: &Aig) -> Vec<bool> {
+        graph
+            .inputs()
+            .iter()
+            .map(|node| self.solver.model_value(Var::new(node.index())))
+            .collect()
+    }
+}
+
+/// A fresh solver, proof-logging when `proof` is set.
+fn new_solver(proof: bool) -> Solver {
+    if proof {
+        Solver::with_proof()
+    } else {
+        Solver::new()
+    }
+}
+
+/// A persistent parallel-sweep worker: a [`Discharger`] whose private
+/// solver lives across rounds (keeping its learnt clauses and saved
 /// phases), synced with the shared clause database by replaying the
 /// feed, plus the local→global proof id translation accumulated over
 /// all merges so far. Fully deterministic given its shard and feed
 /// history.
 struct WorkerState {
-    solver: Solver,
+    sat: Discharger,
     /// Local proof step id → global proof id. Originals are filled on
     /// sync; derived steps are filled by [`proof::Proof::merge_cone`].
     translation: Vec<Option<ClauseId>>,
-    proof_mode: bool,
     /// Export learnt clauses for cross-worker sharing each round.
     share_learnts: bool,
-    /// Trace recorder (shared with the coordinator) and this worker's
-    /// logical thread id in the trace.
-    recorder: Recorder,
-    tid: u32,
-    /// This worker's live `cec.worker<w>.*` counters, updated from the
-    /// worker thread itself so the sampler sees intra-round progress.
-    m_sat_calls: metrics::Counter,
-    m_conflicts: metrics::Counter,
-    m_lemmas: metrics::Counter,
 }
 
 impl WorkerState {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        proof_mode: bool,
-        share_learnts: bool,
-        num_vars: u32,
-        budget: Option<u64>,
-        recorder: Recorder,
-        tid: u32,
-        metrics: &Metrics,
-        w: usize,
-    ) -> Self {
-        let mut solver = if proof_mode {
-            Solver::with_proof()
-        } else {
-            Solver::new()
-        };
-        solver.ensure_vars(num_vars);
-        solver.set_conflict_budget(budget);
-        solver.set_recorder(recorder.clone(), tid);
-        WorkerState {
-            solver,
-            translation: Vec::new(),
-            proof_mode,
-            share_learnts,
-            recorder,
-            tid,
-            m_sat_calls: metrics.counter(&format!("cec.worker{w}.sat_calls")),
-            m_conflicts: metrics.counter(&format!("cec.worker{w}.conflicts")),
-            m_lemmas: metrics.counter(&format!("cec.worker{w}.lemmas")),
-        }
-    }
-
     /// Replays the feed entries added since the last round, skipping
     /// the clauses this worker proved itself (already present locally;
     /// their proof steps are translated at merge time instead).
@@ -547,8 +487,8 @@ impl WorkerState {
             if fc.learnt {
                 learnts_imported += 1;
             }
-            let local = self.solver.add_clause(&fc.lits);
-            if self.proof_mode {
+            let local = self.sat.solver.add_clause(&fc.lits);
+            if self.sat.proof {
                 let local = local.expect("feed holds no tautologies").as_usize();
                 if self.translation.len() <= local {
                     self.translation.resize(local + 1, None);
@@ -562,212 +502,48 @@ impl WorkerState {
 
     /// Runs one round: catches up with the feed, then discharges the
     /// shard of `(index into the round's pair list, node, target)`
-    /// entries. Returns the verdicts in discovery order and this
-    /// round's counters.
+    /// entries, handing the state back inside the round's report.
     fn round(
-        &mut self,
+        mut self,
         me: usize,
         graph: &Aig,
         delta: &[FeedClause],
         shard: &[(usize, NodeId, Lit, Dispatch)],
-    ) -> RoundOutput {
+    ) -> WorkerReport {
         let start = Instant::now();
-        let mut span = self.recorder.span("worker_round", self.tid);
+        let mut span = self.sat.recorder.span("worker_round", self.sat.tid);
         span.arg("pairs", shard.len());
         span.arg("feed_delta", delta.len());
-        let conflicts_before = self.solver.stats().conflicts;
-        let mut stats = WorkerStats::default();
-        let mut dstats = DispatchStats {
-            learnts_imported: self.sync(me, delta),
-            ..DispatchStats::default()
-        };
-        let mut results = Vec::with_capacity(shard.len());
-        for &(pair_idx, n, target, d) in shard {
-            let verdict = self.dispatch_pair(graph, n, target, d, &mut stats, &mut dstats);
-            results.push((pair_idx, verdict));
-        }
+        let conflicts_before = self.sat.solver.stats().conflicts;
+        let learnts_imported = self.sync(me, delta);
+        let results = shard
+            .iter()
+            .map(|&(pair_idx, n, target, d)| (pair_idx, self.sat.discharge(graph, n, target, d)))
+            .collect();
         // Offer this round's freshly learnt clauses for cross-worker
         // sharing. The drain cursor is monotone, so a clause is only
         // ever offered once; short clauses first-come (insertion order),
         // which is deterministic given the shard and feed history.
         let learnts = if self.share_learnts {
-            self.solver
+            self.sat
+                .solver
                 .drain_new_learnts(SHARE_LEARNT_MAX_LEN, SHARE_LEARNT_MAX_PER_ROUND)
         } else {
             Vec::new()
         };
-        stats.conflicts = self.solver.stats().conflicts - conflicts_before;
+        let (mut stats, mut dispatch) = self.sat.take_tally();
+        dispatch.learnts_imported = learnts_imported;
+        stats.conflicts = self.sat.solver.stats().conflicts - conflicts_before;
         stats.elapsed = start.elapsed();
-        (results, stats, dstats, learnts)
-    }
-
-    /// The worker-side counterpart of [`Sweep::dispatch_pair`]: optional
-    /// BDD probe, per-pair conflict budget, then the SAT proof.
-    fn dispatch_pair(
-        &mut self,
-        graph: &Aig,
-        n: NodeId,
-        target: Lit,
-        d: Dispatch,
-        stats: &mut WorkerStats,
-        dstats: &mut DispatchStats,
-    ) -> PairVerdict {
-        let budget = if d.try_bdd {
-            dstats.bdd_calls += 1;
-            match bdd_probe(graph, n, target, BDD_PROBE_NODE_LIMIT) {
-                BddProbe::Refuted(pattern) => {
-                    dstats.bdd_refuted += 1;
-                    return PairVerdict::Refuted { pattern };
-                }
-                BddProbe::Confirmed => {
-                    dstats.bdd_confirmed += 1;
-                    None
-                }
-                BddProbe::Inconclusive => {
-                    dstats.bdd_overflow += 1;
-                    d.budget
-                }
-            }
-        } else {
-            d.budget
-        };
-        record_budget(dstats, budget);
-        self.solver.set_conflict_budget(budget);
-        self.prove_pair(graph, n, target, stats)
-    }
-
-    /// The worker-side counterpart of [`Sweep::prove_pair`]: two
-    /// incremental SAT calls, committing each proven direction as a
-    /// canonical lemma in the worker's private solver (so later pairs
-    /// of the same shard reuse it).
-    fn prove_pair(
-        &mut self,
-        graph: &Aig,
-        n: NodeId,
-        target: Lit,
-        stats: &mut WorkerStats,
-    ) -> PairVerdict {
-        let vn = Var::new(n.index());
-        stats.sat_calls += 1;
-        match self.traced_solve(&[vn.positive(), !target], n, stats) {
-            SolveResult::Sat => {
-                stats.sat_cex += 1;
-                return PairVerdict::Refuted {
-                    pattern: worker_model_pattern(&self.solver, graph),
-                };
-            }
-            SolveResult::Unknown => return PairVerdict::Skipped,
-            SolveResult::Unsat => stats.sat_unsat += 1,
-        }
-        let fwd = self.commit_lemma(&[vn.negative(), target], stats);
-        stats.sat_calls += 1;
-        match self.traced_solve(&[vn.negative(), target], n, stats) {
-            SolveResult::Sat => {
-                stats.sat_cex += 1;
-                return PairVerdict::Refuted {
-                    pattern: worker_model_pattern(&self.solver, graph),
-                };
-            }
-            SolveResult::Unknown => return PairVerdict::Skipped,
-            SolveResult::Unsat => stats.sat_unsat += 1,
-        }
-        let bwd = self.commit_lemma(&[vn.positive(), !target], stats);
-        stats.merges += 1;
-        PairVerdict::Proved { fwd, bwd }
-    }
-
-    /// One sweeping SAT call with its per-call telemetry (conflict
-    /// histogram always; a `sat_call` span when tracing is enabled).
-    fn traced_solve(
-        &mut self,
-        assumptions: &[Lit],
-        n: NodeId,
-        stats: &mut WorkerStats,
-    ) -> SolveResult {
-        traced_solve(
-            &mut self.solver,
-            assumptions,
-            n,
-            &self.recorder,
-            self.tid,
-            &mut stats.conflict_hist,
-            &self.m_sat_calls,
-            &self.m_conflicts,
-        )
-    }
-
-    /// Commits the worker solver's final conflict clause and derives the
-    /// canonical two-literal lemma by weakening (mirrors
-    /// [`Sweep::commit_lemma`]).
-    fn commit_lemma(&mut self, canonical: &[Lit], stats: &mut WorkerStats) -> Option<ClauseId> {
-        let committed = self.solver.commit_final_clause();
-        stats.lemmas += 1;
-        self.m_lemmas.inc();
-        if self.proof_mode {
-            let id = committed.expect("proof mode final clause id");
-            if let Some(p) = self.solver.proof() {
-                stats
-                    .lemma_chain_hist
-                    .record(p.step(id).antecedents.len() as u64);
-            }
-            let lemma = self.solver.add_derived_clause(canonical, &[id]);
-            self.solver.tag_proof_step(lemma, StepRole::Lemma);
-            Some(lemma)
-        } else {
-            self.solver.add_clause(canonical);
-            None
+        drop(span);
+        WorkerReport {
+            state: self,
+            results,
+            stats,
+            dispatch,
+            learnts,
         }
     }
-}
-
-/// One sweeping SAT call with per-call telemetry: the conflict delta is
-/// always recorded into `conflict_hist` (cheap) and into the live
-/// call/conflict counters (one branch each when metrics are off); a
-/// `sat_call` span with node / verdict / conflict / decision /
-/// propagation args is recorded when tracing is enabled.
-#[allow(clippy::too_many_arguments)]
-fn traced_solve(
-    solver: &mut Solver,
-    assumptions: &[Lit],
-    n: NodeId,
-    recorder: &Recorder,
-    tid: u32,
-    conflict_hist: &mut obs::LogHistogram,
-    m_calls: &metrics::Counter,
-    m_conflicts: &metrics::Counter,
-) -> SolveResult {
-    let before = *solver.stats();
-    let mut span = recorder.span("sat_call", tid);
-    let result = solver.solve_with(assumptions);
-    let conflicts = solver.stats().conflicts - before.conflicts;
-    conflict_hist.record(conflicts);
-    m_calls.inc();
-    m_conflicts.add(conflicts);
-    if span.is_enabled() {
-        let after = solver.stats();
-        span.arg("node", u64::from(n.index()));
-        span.arg(
-            "verdict",
-            match result {
-                SolveResult::Sat => "sat",
-                SolveResult::Unsat => "unsat",
-                SolveResult::Unknown => "unknown",
-            },
-        );
-        span.arg("conflicts", conflicts);
-        span.arg("decisions", after.decisions - before.decisions);
-        span.arg("propagations", after.propagations - before.propagations);
-    }
-    result
-}
-
-/// Extracts the input pattern from a worker solver's current model.
-fn worker_model_pattern(solver: &Solver, graph: &Aig) -> Vec<bool> {
-    graph
-        .inputs()
-        .iter()
-        .map(|node| solver.model_value(Var::new(node.index())))
-        .collect()
 }
 
 /// How one candidate pair is to be discharged, decided by the
@@ -953,7 +729,6 @@ struct SweepMetrics {
     rounds: metrics::Counter,
     deferred: metrics::Counter,
     retried: metrics::Counter,
-    bdd_calls: metrics::Counter,
     /// Learnt clauses exported to the feed for cross-worker sharing.
     learnts_shared: metrics::Counter,
     /// Live candidate pairs remaining in the simulation classes.
@@ -973,7 +748,6 @@ impl SweepMetrics {
             rounds: m.counter("cec.rounds"),
             deferred: m.counter("cec.dispatch.deferred"),
             retried: m.counter("cec.dispatch.retried"),
-            bdd_calls: m.counter("cec.dispatch.bdd_calls"),
             learnts_shared: m.counter("cec.learnts_shared"),
             queue_candidates: m.gauge("cec.queue.candidates"),
             queue_hard: m.gauge("cec.queue.hard"),
@@ -985,7 +759,9 @@ pub(crate) struct Sweep<'g> {
     graph: &'g Aig,
     config: &'g EngineConfig,
     ctx: &'g SharedContext,
-    pub(crate) solver: Solver,
+    /// The global clause database and proof, and in the sequential sweep
+    /// the solver every candidate pair is discharged on.
+    pub(crate) sat: Discharger,
     /// Tseitin definition clause ids per AND node: `[t1, t2, t3]` for
     /// `(¬x∨a) (¬x∨b) (x∨¬a∨¬b)`.
     and_defs: Vec<Option<[Option<ClauseId>; 3]>>,
@@ -1008,11 +784,7 @@ impl<'g> Sweep<'g> {
         ctx: &'g SharedContext,
         a_boundary: Option<usize>,
     ) -> Self {
-        let mut solver = if config.proof {
-            Solver::with_proof()
-        } else {
-            Solver::new()
-        };
+        let mut solver = new_solver(config.proof);
         solver.ensure_vars(graph.len() as u32);
         let mut sides = a_boundary.filter(|_| config.proof).map(|b| (b, Vec::new()));
         let mut record = |id: Option<ClauseId>, node: usize| {
@@ -1046,7 +818,7 @@ impl<'g> Sweep<'g> {
             graph,
             config,
             ctx,
-            solver,
+            sat: Discharger::coordinator(solver, config.proof, ctx),
             and_defs,
             rep: vec![None; graph.len()],
             struct_table: HashMap::new(),
@@ -1095,13 +867,15 @@ impl<'g> Sweep<'g> {
                 ([lf, pb], [lb, pf])
             };
             let fwd = self
+                .sat
                 .solver
                 .add_derived_clause(&[vn.negative(), root_lit], &fwd_ants);
             let bwd = self
+                .sat
                 .solver
                 .add_derived_clause(&[vn.positive(), !root_lit], &bwd_ants);
-            self.solver.tag_proof_step(fwd, StepRole::Composition);
-            self.solver.tag_proof_step(bwd, StepRole::Composition);
+            self.sat.solver.tag_proof_step(fwd, StepRole::Composition);
+            self.sat.solver.tag_proof_step(bwd, StepRole::Composition);
             Some((fwd, bwd))
         } else {
             None
@@ -1172,7 +946,7 @@ impl<'g> Sweep<'g> {
 
     /// Checkpoints the end-of-sweep state shared by both sweep modes.
     fn sweep_checkpoint(&mut self, durable: &mut Durable) -> Result<(), CecError> {
-        let proof_len = self.solver.proof().map_or(0, |p| p.len() as u64);
+        let proof_len = self.sat.solver.proof().map_or(0, |p| p.len() as u64);
         durable.checkpoint(
             "sweep",
             &[
@@ -1206,7 +980,68 @@ impl<'g> Sweep<'g> {
         Some(policy)
     }
 
-    pub(crate) fn run(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+    /// The sweeping phase: the sequential sweep with one thread, the
+    /// round-based parallel sweep with more, timed into
+    /// [`PhaseTimes::sweep`](crate::outcome::PhaseTimes::sweep) and traced
+    /// as the `sweep` span. A no-op when sweeping is off. Leaves the
+    /// global solver unbudgeted for the final miter solve.
+    pub(crate) fn sweep(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+        if !self.config.sweep {
+            return Ok(());
+        }
+        let start = Instant::now();
+        if self.config.threads > 1 {
+            self.run_parallel(durable)?;
+        } else {
+            self.run(durable)?;
+        }
+        // Pair budgets must not bind the final miter solve.
+        self.sat.solver.set_conflict_budget(None);
+        let elapsed = start.elapsed();
+        self.ctx
+            .recorder
+            .complete("sweep", TID_COORDINATOR, start, elapsed);
+        // Simulation was timed inside the sweep; keep the phases disjoint.
+        self.stats.phases.sweep = elapsed.saturating_sub(self.stats.phases.sim);
+        Ok(())
+    }
+
+    /// Records the proven merge `n ≡ root ^ phase` with its two lemmas.
+    fn link(
+        &mut self,
+        n: NodeId,
+        root: NodeId,
+        phase: bool,
+        fwd: Option<ClauseId>,
+        bwd: Option<ClauseId>,
+    ) {
+        self.rep[n.as_usize()] = Some(MergeLink {
+            parent: root,
+            phase,
+            fwd,
+            bwd,
+        });
+        self.stats.lemmas += 2;
+        self.metrics.lemmas.add(2);
+    }
+
+    /// Folds a discharger's tally into the engine-wide counters (the
+    /// dispatch block only exists when adaptive scheduling or learnt
+    /// sharing asked for it).
+    fn absorb(&mut self, tally: &WorkerStats, dispatch: &DispatchStats) {
+        self.stats.sat_calls += tally.sat_calls;
+        self.stats.sat_unsat += tally.sat_unsat;
+        self.stats.sat_cex += tally.sat_cex;
+        self.stats.sat_conflict_hist.merge(&tally.conflict_hist);
+        self.stats.lemma_chain_hist.merge(&tally.lemma_chain_hist);
+        if let Some(ds) = self.stats.dispatch.as_mut() {
+            ds.absorb(dispatch);
+        }
+    }
+
+    /// The classical sequential sweep: one topological pass discharging
+    /// each node against its class leader on the global solver.
+    fn run(&mut self, durable: &mut Durable) -> Result<(), CecError> {
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
         let policy = self.adaptive_policy();
@@ -1247,28 +1082,21 @@ impl<'g> Sweep<'g> {
                 let target = Var::new(root.index()).lit(phase);
                 let dispatch = policy.as_ref().map_or_else(
                     || Dispatch::fixed(self.config.pair_conflict_limit),
-                    |p| p.dispatch(n, root, &self.stats.sat_conflict_hist),
+                    |p| p.dispatch(n, root, &self.sat.tally.conflict_hist),
                 );
-                match self.dispatch_pair(n, target, dispatch) {
-                    Ok((fwd, bwd)) => {
-                        self.rep[n.as_usize()] = Some(MergeLink {
-                            parent: root,
-                            phase,
-                            fwd,
-                            bwd,
-                        });
-                        self.stats.lemmas += 2;
-                        self.metrics.lemmas.add(2);
+                match self.sat.discharge(self.graph, n, target, dispatch) {
+                    PairVerdict::Proved { fwd, bwd } => {
+                        self.link(n, root, phase, fwd, bwd);
                         classes.remove(n);
                         break;
                     }
-                    Err(PairFailure::Counterexample(pattern)) => {
+                    PairVerdict::Refuted(pattern) => {
                         self.record_refinement(n);
                         classes.refine_with_pattern(self.graph, &pattern);
                         // The candidate is recomputed; the class of `n`
                         // necessarily split, so this loop terminates.
                     }
-                    Err(PairFailure::BudgetExhausted) => {
+                    PairVerdict::Skipped => {
                         // Sound to leave the pair undecided: the final
                         // miter solve does not depend on any merge. In
                         // adaptive mode the pair gets one more shot.
@@ -1303,74 +1131,19 @@ impl<'g> Sweep<'g> {
                     self.metrics.retried.inc();
                     self.metrics.queue_hard.add(-1);
                 }
-                match self.dispatch_pair(n, target, dispatch) {
-                    Ok((fwd, bwd)) => {
-                        self.rep[n.as_usize()] = Some(MergeLink {
-                            parent: r,
-                            phase,
-                            fwd,
-                            bwd,
-                        });
-                        self.stats.lemmas += 2;
-                        self.metrics.lemmas.add(2);
-                    }
-                    Err(PairFailure::Counterexample(_)) => {
-                        // Genuinely inequivalent; the node already left
-                        // its class, so there is nothing to refine.
-                        self.record_refinement(n);
-                    }
-                    Err(PairFailure::BudgetExhausted) => {
-                        // Only reachable under an explicit user limit.
-                        self.stats.pairs_skipped += 1;
-                    }
+                match self.sat.discharge(self.graph, n, target, dispatch) {
+                    PairVerdict::Proved { fwd, bwd } => self.link(n, r, phase, fwd, bwd),
+                    // Genuinely inequivalent; the node already left its
+                    // class, so there is nothing to refine.
+                    PairVerdict::Refuted(_) => self.record_refinement(n),
+                    // Only reachable under an explicit user limit.
+                    PairVerdict::Skipped => self.stats.pairs_skipped += 1,
                 }
             }
         }
+        let (tally, dispatch) = self.sat.take_tally();
+        self.absorb(&tally, &dispatch);
         self.sweep_checkpoint(durable)
-    }
-
-    /// Discharges one candidate pair as routed: optional BDD probe,
-    /// per-pair conflict budget, then the two-call SAT proof.
-    fn dispatch_pair(
-        &mut self,
-        n: NodeId,
-        target: Lit,
-        d: Dispatch,
-    ) -> Result<(Option<ClauseId>, Option<ClauseId>), PairFailure> {
-        if d.try_bdd {
-            if let Some(ds) = self.stats.dispatch.as_mut() {
-                ds.bdd_calls += 1;
-                self.metrics.bdd_calls.inc();
-            }
-            match bdd_probe(self.graph, n, target, BDD_PROBE_NODE_LIMIT) {
-                BddProbe::Refuted(pattern) => {
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.bdd_refuted += 1;
-                    }
-                    return Err(PairFailure::Counterexample(pattern));
-                }
-                BddProbe::Confirmed => {
-                    // The pair is equivalent; run the lemma extraction
-                    // unbudgeted so the confirmation cannot be wasted.
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.bdd_confirmed += 1;
-                        record_budget(ds, None);
-                    }
-                    self.solver.set_conflict_budget(None);
-                    return self.prove_pair(n, target);
-                }
-                BddProbe::Inconclusive => {
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.bdd_overflow += 1;
-                    }
-                }
-            }
-        }
-        if let Some(ds) = self.stats.dispatch.as_mut() {
-            record_budget(ds, d.budget);
-        }
-        self.solver.set_conflict_budget(d.budget);
-        self.prove_pair(n, target)
     }
 
     /// The round-based parallel sweep.
@@ -1382,7 +1155,7 @@ impl<'g> Sweep<'g> {
     ///    (reps move between rounds, so stale keys must not survive).
     /// 2. **Collect**: a *window* of the topologically first candidate
     ///    pairs `(n, root, phase)` of the live classes —
-    ///    [`CecOptions::pairs_per_worker`] per worker. Class members
+    ///    [`EngineConfig::pairs_per_worker`] per worker. Class members
     ///    always have `rep = None` (merged nodes are removed from their
     ///    class), so targets are class leaders and no node is sharded
     ///    twice. The small window preserves lemma locality: a pair's
@@ -1407,16 +1180,13 @@ impl<'g> Sweep<'g> {
     /// candidate work (merged/skipped nodes leave their classes; each
     /// applied refutation either splits a class or was subsumed by an
     /// earlier split this round), so the loop terminates.
-    pub(crate) fn run_parallel(
-        &mut self,
-        threads: usize,
-        durable: &mut Durable,
-    ) -> Result<(), CecError> {
+    fn run_parallel(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+        let threads = self.config.threads;
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
         self.stats.workers = vec![WorkerStats::default(); threads];
 
-        let num_vars = self.solver.num_vars();
+        let num_vars = self.sat.solver.num_vars();
         let proof_mode = self.config.proof;
         let share_learnts = self.config.share_learnts;
         let budget = self.config.pair_conflict_limit;
@@ -1437,7 +1207,7 @@ impl<'g> Sweep<'g> {
         // rounds from the observed conflict imbalance.
         let pinned = self.config.pairs_per_worker;
         let mut per_worker = pinned.unwrap_or(8).max(1);
-        if let Some(p) = self.solver.proof() {
+        if let Some(p) = self.sat.solver.proof() {
             // Anchor of the stitch segments: everything appended between
             // here and the end of the last round is parallel-merge
             // output, which the RP007 lint cross-checks.
@@ -1447,6 +1217,7 @@ impl<'g> Sweep<'g> {
         }
 
         let mut feed: Vec<FeedClause> = self
+            .sat
             .solver
             .live_clauses()
             .map(|(ls, id)| FeedClause {
@@ -1464,16 +1235,11 @@ impl<'g> Sweep<'g> {
         // and report of each round.
         let mut states: Vec<Option<WorkerState>> = (0..threads)
             .map(|w| {
-                Some(WorkerState::new(
-                    proof_mode,
+                Some(WorkerState {
+                    sat: Discharger::worker(w, proof_mode, num_vars, self.ctx),
+                    translation: Vec::new(),
                     share_learnts,
-                    num_vars,
-                    budget,
-                    self.ctx.recorder.clone(),
-                    worker_tid(w),
-                    &self.ctx.metrics,
-                    w,
-                ))
+                })
             })
             .collect();
 
@@ -1491,23 +1257,8 @@ impl<'g> Sweep<'g> {
                 from_worker.push(report_rx);
                 scope.spawn(move || {
                     for job in job_rx {
-                        let WorkerJob {
-                            mut state,
-                            delta,
-                            shard,
-                        } = job;
-                        let (results, stats, dispatch, learnts) =
-                            state.round(w, graph, &delta, &shard);
-                        if report_tx
-                            .send(WorkerReport {
-                                state,
-                                results,
-                                stats,
-                                dispatch,
-                                learnts,
-                            })
-                            .is_err()
-                        {
+                        let report = job.state.round(w, graph, &job.delta, &job.shard);
+                        if report_tx.send(report).is_err() {
                             return;
                         }
                     }
@@ -1531,20 +1282,8 @@ impl<'g> Sweep<'g> {
                         if self.try_structural_merge(n).is_some() {
                             classes.remove(n);
                             let link = self.rep[n.as_usize()].expect("merged just now");
-                            let vn = Var::new(n.index());
                             let root = Var::new(link.parent.index()).lit(link.phase);
-                            feed.push(FeedClause {
-                                lits: vec![vn.negative(), root],
-                                id: link.fwd,
-                                origin: None,
-                                learnt: false,
-                            });
-                            feed.push(FeedClause {
-                                lits: vec![vn.positive(), !root],
-                                id: link.bwd,
-                                origin: None,
-                                learnt: false,
-                            });
+                            feed.extend(FeedClause::lemmas(n, root, link.fwd, link.bwd, None));
                         } else {
                             self.register_structure(n);
                         }
@@ -1659,47 +1398,14 @@ impl<'g> Sweep<'g> {
                     } = report;
                     states[w] = Some(state);
                     round_conflicts.push(round_stats.conflicts);
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        self.metrics.bdd_calls.add(wd.bdd_calls);
-                        ds.sat_budgeted += wd.sat_budgeted;
-                        ds.sat_unbudgeted += wd.sat_unbudgeted;
-                        ds.bdd_calls += wd.bdd_calls;
-                        ds.bdd_refuted += wd.bdd_refuted;
-                        ds.bdd_confirmed += wd.bdd_confirmed;
-                        ds.bdd_overflow += wd.bdd_overflow;
-                        ds.learnts_imported += wd.learnts_imported;
-                        if wd.budget_min != 0
-                            && (ds.budget_min == 0 || wd.budget_min < ds.budget_min)
-                        {
-                            ds.budget_min = wd.budget_min;
-                        }
-                        ds.budget_max = ds.budget_max.max(wd.budget_max);
-                    }
-                    let ws = &mut self.stats.workers[w];
-                    ws.sat_calls += round_stats.sat_calls;
-                    ws.sat_unsat += round_stats.sat_unsat;
-                    ws.sat_cex += round_stats.sat_cex;
-                    ws.conflicts += round_stats.conflicts;
-                    ws.merges += round_stats.merges;
-                    ws.lemmas += round_stats.lemmas;
-                    ws.elapsed += round_stats.elapsed;
-                    ws.conflict_hist.merge(&round_stats.conflict_hist);
-                    ws.lemma_chain_hist.merge(&round_stats.lemma_chain_hist);
-                    self.stats.sat_calls += round_stats.sat_calls;
-                    self.stats.sat_unsat += round_stats.sat_unsat;
-                    self.stats.sat_cex += round_stats.sat_cex;
+                    self.stats.workers[w].add(&round_stats);
+                    self.absorb(&round_stats, &wd);
                     // Workers tick only their own cec.worker{w}.* cells
                     // live; fold this round into the engine-wide
                     // aggregates so cec.sat_calls / cec.conflicts mean
                     // the same thing under both sweep modes.
                     self.metrics.sat_calls.add(round_stats.sat_calls);
                     self.metrics.conflicts.add(round_stats.conflicts);
-                    self.stats
-                        .sat_conflict_hist
-                        .merge(&round_stats.conflict_hist);
-                    self.stats
-                        .lemma_chain_hist
-                        .merge(&round_stats.lemma_chain_hist);
 
                     if proof_mode {
                         let mut roots: Vec<ClauseId> = results
@@ -1716,12 +1422,10 @@ impl<'g> Sweep<'g> {
                         // global proof before the clause is fed onward.
                         roots.extend(learnts.iter().filter_map(|(_, id)| *id));
                         let WorkerState {
-                            solver,
-                            translation,
-                            ..
+                            sat, translation, ..
                         } = states[w].as_mut().expect("report returned the state");
-                        let local = solver.proof().expect("proof-mode worker logs");
-                        self.solver.merge_proof_cone(local, &roots, translation);
+                        let local = sat.solver.proof().expect("proof-mode worker logs");
+                        self.sat.solver.merge_proof_cone(local, &roots, translation);
                     }
                     let translation = &states[w].as_ref().expect("state parked").translation;
                     for (pair_idx, verdict) in results {
@@ -1737,32 +1441,17 @@ impl<'g> Sweep<'g> {
                                     })
                                 };
                                 let (fwd, bwd) = (translate(fwd), translate(bwd));
-                                self.solver.add_proved_clause(&[vn.negative(), target], fwd);
-                                self.solver
+                                self.sat
+                                    .solver
+                                    .add_proved_clause(&[vn.negative(), target], fwd);
+                                self.sat
+                                    .solver
                                     .add_proved_clause(&[vn.positive(), !target], bwd);
-                                feed.push(FeedClause {
-                                    lits: vec![vn.negative(), target],
-                                    id: fwd,
-                                    origin: Some(w),
-                                    learnt: false,
-                                });
-                                feed.push(FeedClause {
-                                    lits: vec![vn.positive(), !target],
-                                    id: bwd,
-                                    origin: Some(w),
-                                    learnt: false,
-                                });
-                                self.rep[n.as_usize()] = Some(MergeLink {
-                                    parent: root,
-                                    phase,
-                                    fwd,
-                                    bwd,
-                                });
-                                self.stats.lemmas += 2;
-                                self.metrics.lemmas.add(2);
+                                feed.extend(FeedClause::lemmas(n, target, fwd, bwd, Some(w)));
+                                self.link(n, root, phase, fwd, bwd);
                                 classes.remove(n);
                             }
-                            PairVerdict::Refuted { pattern } => {
+                            PairVerdict::Refuted(pattern) => {
                                 self.record_refinement(n);
                                 classes.refine_with_pattern(self.graph, &pattern);
                             }
@@ -1801,7 +1490,7 @@ impl<'g> Sweep<'g> {
                             } else {
                                 None
                             };
-                            self.solver.add_proved_clause(&lits, gid);
+                            self.sat.solver.add_proved_clause(&lits, gid);
                             feed.push(FeedClause {
                                 lits,
                                 id: gid,
@@ -1839,12 +1528,12 @@ impl<'g> Sweep<'g> {
                         }
                     }
                 }
-                if let Some(p) = self.solver.proof() {
+                if let Some(p) = self.sat.solver.proof() {
                     self.stats
                         .stitch_boundaries
                         .push(u32::try_from(p.len()).expect("proof fits u32 ids"));
                 }
-                let proof_len = self.solver.proof().map_or(0, |p| p.len() as u64);
+                let proof_len = self.sat.solver.proof().map_or(0, |p| p.len() as u64);
                 durable.checkpoint(
                     "round",
                     &[
@@ -1863,84 +1552,12 @@ impl<'g> Sweep<'g> {
             Ok(())
         });
         rounds?;
+        // The workers' solvers go away with their states; their counters
+        // join the top-level solver block.
+        for state in states.into_iter().flatten() {
+            self.stats.solver += *state.sat.solver.stats();
+        }
         self.sweep_checkpoint(durable)
-    }
-
-    /// Attempts to prove `v_n ≡ target` with two incremental SAT calls.
-    /// On success returns the canonical lemma clause ids.
-    fn prove_pair(
-        &mut self,
-        n: NodeId,
-        target: Lit,
-    ) -> Result<(Option<ClauseId>, Option<ClauseId>), PairFailure> {
-        let vn = Var::new(n.index());
-        // v_n ∧ ¬target unsatisfiable?
-        self.stats.sat_calls += 1;
-        match self.traced_solve(&[vn.positive(), !target], n) {
-            SolveResult::Sat => {
-                self.stats.sat_cex += 1;
-                return Err(PairFailure::Counterexample(self.model_pattern()));
-            }
-            SolveResult::Unknown => return Err(PairFailure::BudgetExhausted),
-            SolveResult::Unsat => self.stats.sat_unsat += 1,
-        }
-        let fwd = self.commit_lemma(&[vn.negative(), target]);
-        // ¬v_n ∧ target unsatisfiable?
-        self.stats.sat_calls += 1;
-        match self.traced_solve(&[vn.negative(), target], n) {
-            SolveResult::Sat => {
-                self.stats.sat_cex += 1;
-                return Err(PairFailure::Counterexample(self.model_pattern()));
-            }
-            SolveResult::Unknown => return Err(PairFailure::BudgetExhausted),
-            SolveResult::Unsat => self.stats.sat_unsat += 1,
-        }
-        let bwd = self.commit_lemma(&[vn.positive(), !target]);
-        Ok((fwd, bwd))
-    }
-
-    /// One sweeping SAT call with its per-call telemetry.
-    fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
-        traced_solve(
-            &mut self.solver,
-            assumptions,
-            n,
-            &self.ctx.recorder,
-            TID_COORDINATOR,
-            &mut self.stats.sat_conflict_hist,
-            &self.metrics.sat_calls,
-            &self.metrics.conflicts,
-        )
-    }
-
-    /// Commits the solver's final conflict clause and derives the
-    /// canonical two-literal lemma form by weakening.
-    fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
-        let committed = self.solver.commit_final_clause();
-        if self.config.proof {
-            let id = committed.expect("proof mode final clause id");
-            if let Some(p) = self.solver.proof() {
-                self.stats
-                    .lemma_chain_hist
-                    .record(p.step(id).antecedents.len() as u64);
-            }
-            let lemma = self.solver.add_derived_clause(canonical, &[id]);
-            self.solver.tag_proof_step(lemma, StepRole::Lemma);
-            Some(lemma)
-        } else {
-            // Still add the canonical form for propagation strength.
-            self.solver.add_clause(canonical);
-            None
-        }
-    }
-
-    /// Extracts the input pattern from the solver's current model.
-    fn model_pattern(&self) -> Vec<bool> {
-        self.graph
-            .inputs()
-            .iter()
-            .map(|node| self.solver.model_value(Var::new(node.index())))
-            .collect()
     }
 
     /// If `n`'s rep-normalized structure matches an already-processed
@@ -1975,13 +1592,15 @@ impl<'g> Sweep<'g> {
                 let vn = Var::new(n.index());
                 let root_lit = Var::new(root.index()).lit(pm);
                 let fwd = self
+                    .sat
                     .solver
                     .add_derived_clause(&[vn.negative(), root_lit], &[nf, mf]);
                 let bwd = self
+                    .sat
                     .solver
                     .add_derived_clause(&[vn.positive(), !root_lit], &[nb, mb]);
-                self.solver.tag_proof_step(fwd, StepRole::Composition);
-                self.solver.tag_proof_step(bwd, StepRole::Composition);
+                self.sat.solver.tag_proof_step(fwd, StepRole::Composition);
+                self.sat.solver.tag_proof_step(bwd, StepRole::Composition);
                 (Some(fwd), Some(bwd))
             }
             Some((nf, nb)) => (Some(nf), Some(nb)),
@@ -1992,8 +1611,8 @@ impl<'g> Sweep<'g> {
             // database for later calls to use.
             let vn = Var::new(n.index());
             let root_lit = Var::new(root.index()).lit(pm);
-            self.solver.add_clause(&[vn.negative(), root_lit]);
-            self.solver.add_clause(&[vn.positive(), !root_lit]);
+            self.sat.solver.add_clause(&[vn.negative(), root_lit]);
+            self.sat.solver.add_clause(&[vn.positive(), !root_lit]);
         }
         self.rep[n.as_usize()] = Some(MergeLink {
             parent: root,
@@ -2070,9 +1689,10 @@ impl<'g> Sweep<'g> {
         chain.push(t1);
         chain.push(t2);
         let fwd = self
+            .sat
             .solver
             .add_derived_clause(&[vn.negative(), vm.positive()], &chain);
-        self.solver.tag_proof_step(fwd, StepRole::Structural);
+        self.sat.solver.tag_proof_step(fwd, StepRole::Structural);
 
         // bwd: (v_n ∨ ¬v_m) from t3 = (v_n ∨ ¬a_n ∨ ¬b_n):
         //   a_n → ra → a_m, b_n → rb → b_m, then u1, u2.
@@ -2092,9 +1712,10 @@ impl<'g> Sweep<'g> {
         chain.push(u1);
         chain.push(u2);
         let bwd = self
+            .sat
             .solver
             .add_derived_clause(&[vn.positive(), vm.negative()], &chain);
-        self.solver.tag_proof_step(bwd, StepRole::Structural);
+        self.sat.solver.tag_proof_step(bwd, StepRole::Structural);
 
         (fwd, bwd)
     }
@@ -2118,9 +1739,11 @@ impl<'g> Sweep<'g> {
         self.struct_table.entry(structure_key(ra, rb)).or_insert(n);
     }
 
-    pub(crate) fn finish(&mut self, _start: Instant) -> EngineStats {
+    /// Hands over the run's counters; the solver block adds the global
+    /// solver's counters to any worker solvers' already folded in.
+    pub(crate) fn finish(&mut self) -> EngineStats {
         let mut stats = std::mem::take(&mut self.stats);
-        stats.solver = *self.solver.stats();
+        stats.solver += *self.sat.solver.stats();
         stats
     }
 }
@@ -2130,12 +1753,13 @@ fn node_lit(l: aig::Lit) -> Lit {
     Var::new(l.node().index()).lit(l.is_complemented())
 }
 
-/// The CNF a [`Prover`] run refutes for this miter: the Tseitin encoding
-/// of the miter graph under the identity node-to-variable map, plus the
-/// unit clause asserting the miter output — exactly the clauses
-/// [`Sweep`] feeds its solver, in the same order. This is the formula to
-/// hand to `lint::lint_bundle` or to export as DIMACS next to the
-/// proof so a third party can audit the whole pipeline.
+/// The CNF a [`Session::check`](crate::Session::check) run refutes for
+/// this miter: the Tseitin encoding of the miter graph under the
+/// identity node-to-variable map, plus the unit clause asserting the
+/// miter output — exactly the clauses the sweep feeds its solver, in the
+/// same order. This is the formula to hand to `lint::lint_bundle` or to
+/// export as DIMACS next to the proof so a third party can audit the
+/// whole pipeline.
 pub fn miter_cnf(miter: &Miter) -> cnf::Cnf {
     let mut f = cnf::tseitin::encode(&miter.graph).cnf;
     f.add_clause(vec![node_lit(miter.output)]);
@@ -2155,19 +1779,23 @@ fn structure_key(a: Lit, b: Lit) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::CecOutcome;
+    use crate::session::Session;
     use aig::gen::{
         carry_select_adder, kogge_stone_adder, mutate, parity_chain, parity_tree,
         ripple_carry_adder,
     };
 
-    fn prove(a: &Aig, b: &Aig, options: CecOptions) -> CecOutcome {
-        Prover::new(options).prove(a, b).expect("prove runs")
+    fn prove(a: &Aig, b: &Aig, config: EngineConfig) -> CecOutcome {
+        Session::new(config, &SharedContext::disabled())
+            .check(a, b)
+            .expect("check runs")
     }
 
-    fn verified() -> CecOptions {
-        CecOptions {
+    fn verified() -> EngineConfig {
+        EngineConfig {
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         }
     }
 
@@ -2221,10 +1849,10 @@ mod tests {
 
     #[test]
     fn no_sweep_mode_still_correct() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             sweep: false,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = ripple_carry_adder(3);
         let b = carry_select_adder(3, 2);
@@ -2236,9 +1864,9 @@ mod tests {
 
     #[test]
     fn no_proof_mode_answers_without_proof() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             proof: false,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = ripple_carry_adder(4);
         let b = kogge_stone_adder(4);
@@ -2249,10 +1877,10 @@ mod tests {
 
     #[test]
     fn no_structural_merging_ablation() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             structural_merging: false,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = parity_chain(5);
         let b = parity_tree(5);
@@ -2264,10 +1892,10 @@ mod tests {
 
     #[test]
     fn unshared_miter_ablation() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             share_structure: false,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         // Same circuit twice: without sharing, everything must be proven.
         let a = ripple_carry_adder(3);
@@ -2286,10 +1914,10 @@ mod tests {
         // A brutal 1-conflict budget forces most multiplier pairs to be
         // skipped, yet the final (unbudgeted) solve must still reach the
         // correct verdict with a checkable proof.
-        let opts = CecOptions {
+        let opts = EngineConfig {
             pair_conflict_limit: Some(1),
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
@@ -2312,10 +1940,10 @@ mod tests {
         let a = ripple_carry_adder(6);
         let b = kogge_stone_adder(6);
         for threads in [2, 4] {
-            let opts = CecOptions {
+            let opts = EngineConfig {
                 threads,
                 verify: true,
-                ..CecOptions::default()
+                ..EngineConfig::default()
             };
             let outcome = prove(&a, &b, opts);
             let cert = outcome.certificate().expect("equivalent");
@@ -2332,9 +1960,9 @@ mod tests {
     fn parallel_sweep_is_deterministic() {
         let a = ripple_carry_adder(5);
         let b = kogge_stone_adder(5);
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 3,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let run = || {
             let outcome = prove(&a, &b, opts.clone());
@@ -2351,10 +1979,10 @@ mod tests {
             .filter_map(|s| mutate(&a, s))
             .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
             .expect("differing mutant");
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let outcome = prove(&a, &b, opts);
         let cex = outcome.counterexample().expect("inequivalent");
@@ -2364,11 +1992,11 @@ mod tests {
     #[test]
     fn parallel_sweep_respects_pair_budget() {
         use aig::gen::{array_multiplier, carry_save_multiplier};
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             pair_conflict_limit: Some(1),
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
@@ -2378,16 +2006,56 @@ mod tests {
     }
 
     #[test]
+    fn parallel_solver_stats_sum_the_workers() {
+        use aig::gen::{array_multiplier, carry_save_multiplier};
+        let recorder = Recorder::new();
+        let ctx = SharedContext::new(recorder.clone(), Metrics::disabled());
+        let config = EngineConfig {
+            threads: 4,
+            ..EngineConfig::default()
+        };
+        let a = array_multiplier(4);
+        let b = carry_save_multiplier(4);
+        let outcome = Session::new(config, &ctx).check(&a, &b).unwrap();
+        let stats = outcome.stats();
+        let worker_conflicts: u64 = stats.workers.iter().map(|w| w.conflicts).sum();
+        assert!(worker_conflicts > 0, "mul-4 workers hit conflicts");
+        assert!(
+            stats.solver.conflicts >= worker_conflicts,
+            "solver block {} misses worker conflicts {worker_conflicts}",
+            stats.solver.conflicts
+        );
+        // Workers report propagations per SAT call in the trace only.
+        let worker_propagations: u64 = recorder
+            .take_events()
+            .iter()
+            .filter(|e| e.name == "sat_call" && e.tid != TID_COORDINATOR)
+            .filter_map(|e| {
+                e.args.iter().find_map(|(k, v)| match (k, v) {
+                    (&"propagations", ArgVal::U64(p)) => Some(*p),
+                    _ => None,
+                })
+            })
+            .sum();
+        assert!(worker_propagations > 0, "mul-4 workers propagate");
+        assert!(
+            stats.solver.propagations >= worker_propagations,
+            "solver block {} misses worker propagations {worker_propagations}",
+            stats.solver.propagations
+        );
+    }
+
+    #[test]
     fn parallel_learnt_sharing_proof_checks() {
         use aig::gen::{array_multiplier, carry_save_multiplier};
         let a = array_multiplier(4);
         let b = carry_save_multiplier(4);
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 3,
             share_learnts: true,
             verify: true,
             lint_bundle: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let outcome = prove(&a, &b, opts);
         let cert = outcome.certificate().expect("equivalent");
@@ -2414,10 +2082,10 @@ mod tests {
         use aig::gen::{array_multiplier, carry_save_multiplier};
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             share_learnts: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let run = || {
             let outcome = prove(&a, &b, opts.clone());
@@ -2434,11 +2102,11 @@ mod tests {
             .filter_map(|s| mutate(&a, s))
             .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
             .expect("differing mutant");
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             share_learnts: true,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let outcome = prove(&a, &b, opts);
         let cex = outcome.counterexample().expect("inequivalent");
@@ -2469,9 +2137,9 @@ mod tests {
                 g.add_output(map[o.node().as_usize()].xor_complement(o.is_complemented()));
             }
         }
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 4,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let reduced = reduce(&g, &opts);
         reduced.check().unwrap();
@@ -2542,7 +2210,7 @@ mod tests {
     fn interface_mismatch_reported() {
         let a = ripple_carry_adder(2);
         let b = ripple_carry_adder(3);
-        match Prover::new(CecOptions::default()).prove(&a, &b) {
+        match Session::new(EngineConfig::default(), &SharedContext::disabled()).check(&a, &b) {
             Err(CecError::InterfaceMismatch { .. }) => {}
             other => panic!("expected interface mismatch, got {other:?}"),
         }
@@ -2582,7 +2250,7 @@ mod tests {
             g.add_output(l);
         }
 
-        let reduced = reduce(&g, &CecOptions::default());
+        let reduced = reduce(&g, &EngineConfig::default());
         reduced.check().unwrap();
         assert!(
             reduced.num_ands() < g.num_ands(),
@@ -2600,8 +2268,8 @@ mod tests {
     fn reduce_is_identity_on_already_reduced_graphs() {
         use aig::gen::kogge_stone_adder;
         let g = kogge_stone_adder(6);
-        let r1 = reduce(&g, &CecOptions::default());
-        let r2 = reduce(&r1, &CecOptions::default());
+        let r1 = reduce(&g, &EngineConfig::default());
+        let r2 = reduce(&r1, &EngineConfig::default());
         assert_eq!(aig::sim::exhaustive_diff(&g, &r1, 12), None);
         assert!(r2.num_ands() <= r1.num_ands());
         // Idempotence up to a couple of nodes (sim seeds differ).
@@ -2623,16 +2291,16 @@ mod tests {
     #[test]
     fn recorder_captures_phases_and_worker_tids() {
         let recorder = Recorder::new();
-        let options = CecOptions {
+        let ctx = SharedContext::new(recorder.clone(), Metrics::disabled());
+        let config = EngineConfig {
             threads: 2,
             verify: true,
             lint_proof: true,
-            recorder: recorder.clone(),
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = ripple_carry_adder(5);
         let b = kogge_stone_adder(5);
-        let outcome = prove(&a, &b, options);
+        let outcome = Session::new(config, &ctx).check(&a, &b).unwrap();
         let cert = outcome.certificate().expect("equivalent");
 
         let events = recorder.take_events();

@@ -25,7 +25,7 @@
 //! assumption.
 
 use crate::outcome::CecError;
-use crate::CecOptions;
+use crate::EngineConfig;
 use aig::Aig;
 use obs::hash::fnv1a64_hex;
 use obs::journal::{read_journal_file, JournalWriter, Record};
@@ -100,7 +100,7 @@ pub const PHASES: &[&str] = &["miter", "sim", "round", "sweep", "final_solve", "
 /// Durable run-state handle threaded through one engine run.
 ///
 /// Comes in three flavors: [`Durable::disabled`] (zero-cost no-op, what
-/// plain [`crate::Prover::prove`] uses), [`Durable::begin`] (fresh
+/// plain [`crate::Session::check`] uses), [`Durable::begin`] (fresh
 /// journal), and [`Durable::resume`] (validated replay against an
 /// existing journal, then append).
 #[derive(Debug, Default)]
@@ -123,7 +123,7 @@ pub struct Durable {
 }
 
 /// Canonical header body for an input pair + option set.
-fn header_body(options: &CecOptions, a: &Aig, b: &Aig) -> Value {
+fn header_body(options: &EngineConfig, a: &Aig, b: &Aig) -> Value {
     let hash_of = |g: &Aig| {
         let mut bytes = Vec::new();
         aig::aiger::write_ascii(g, &mut bytes).expect("write to Vec cannot fail");
@@ -182,7 +182,12 @@ impl Durable {
     /// # Errors
     ///
     /// [`CecError::Journal`] on I/O failure.
-    pub fn begin(path: &Path, options: &CecOptions, a: &Aig, b: &Aig) -> Result<Durable, CecError> {
+    pub fn begin(
+        path: &Path,
+        options: &EngineConfig,
+        a: &Aig,
+        b: &Aig,
+    ) -> Result<Durable, CecError> {
         let mut writer = JournalWriter::create(path)
             .map_err(|e| CecError::Journal(format!("create {}: {e}", path.display())))?;
         writer
@@ -205,7 +210,7 @@ impl Durable {
     /// header that does not match the inputs and options being resumed.
     pub fn resume(
         path: &Path,
-        options: &CecOptions,
+        options: &EngineConfig,
         a: &Aig,
         b: &Aig,
     ) -> Result<Durable, CecError> {

@@ -20,11 +20,11 @@ pub struct MonolithicOptions {
     /// Record a resolution proof.
     pub proof: bool,
     /// Run the proof lint pass before returning (see
-    /// [`crate::CecOptions::lint_proof`]).
+    /// [`crate::EngineConfig::lint_proof`]).
     pub lint_proof: bool,
     /// Re-check the proof / counterexample before returning.
     pub verify: bool,
-    /// Trace recorder (see [`crate::CecOptions::recorder`]); disabled
+    /// Trace recorder (see [`crate::SharedContext::recorder`]); disabled
     /// by default.
     pub recorder: Recorder,
 }
@@ -44,7 +44,7 @@ impl Default for MonolithicOptions {
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::Prover::prove`].
+/// Same contract as [`crate::Session::check`].
 ///
 /// # Example
 ///
@@ -210,14 +210,17 @@ mod tests {
 
     #[test]
     fn agrees_with_sweeping_engine() {
-        use crate::{CecOptions, Prover};
+        use crate::{EngineConfig, Session, SharedContext};
+        let ctx = SharedContext::disabled();
         let pairs: Vec<(Aig, Aig)> = vec![
             (ripple_carry_adder(3), kogge_stone_adder(3)),
             (aig::gen::parity_chain(5), aig::gen::parity_tree(5)),
         ];
         for (a, b) in &pairs {
             let mono = prove_monolithic(a, b, &MonolithicOptions::default()).unwrap();
-            let sweep = Prover::new(CecOptions::default()).prove(a, b).unwrap();
+            let sweep = Session::new(EngineConfig::default(), &ctx)
+                .check(a, b)
+                .unwrap();
             assert_eq!(mono.is_equivalent(), sweep.is_equivalent());
         }
     }

@@ -23,7 +23,7 @@ pub struct PhaseTimes {
     pub final_solve: Duration,
     /// Backward trimming of the recorded refutation.
     pub trim: Duration,
-    /// Independent proof checking ([`crate::CecOptions::verify`]).
+    /// Independent proof checking ([`crate::EngineConfig::verify`]).
     pub check: Duration,
     /// Proof / bundle lint passes.
     pub lint: Duration,
@@ -53,7 +53,7 @@ impl fmt::Display for PhaseTimes {
 }
 
 /// Counters for one parallel-sweep worker, aggregated over all rounds
-/// it participated in (see [`crate::CecOptions::threads`]).
+/// it participated in (see [`crate::EngineConfig::threads`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Sweeping SAT calls issued by this worker.
@@ -75,6 +75,21 @@ pub struct WorkerStats {
     /// Distribution of resolution-chain lengths per committed lemma
     /// (empty with proof logging off).
     pub lemma_chain_hist: LogHistogram,
+}
+
+impl WorkerStats {
+    /// Adds one round's counters into these running totals.
+    pub(crate) fn add(&mut self, round: &WorkerStats) {
+        self.sat_calls += round.sat_calls;
+        self.sat_unsat += round.sat_unsat;
+        self.sat_cex += round.sat_cex;
+        self.conflicts += round.conflicts;
+        self.merges += round.merges;
+        self.lemmas += round.lemmas;
+        self.elapsed += round.elapsed;
+        self.conflict_hist.merge(&round.conflict_hist);
+        self.lemma_chain_hist.merge(&round.lemma_chain_hist);
+    }
 }
 
 impl fmt::Display for WorkerStats {
@@ -129,6 +144,24 @@ pub struct DispatchStats {
     /// Shared learnt clauses imported by workers from the feed (each
     /// shared clause is imported by every worker except its origin).
     pub learnts_imported: u64,
+}
+
+impl DispatchStats {
+    /// Adds a discharger's counters (budgets issued, BDD probes, learnt
+    /// imports) into these; the scheduler-side fields stay untouched.
+    pub(crate) fn absorb(&mut self, d: &DispatchStats) {
+        self.sat_budgeted += d.sat_budgeted;
+        self.sat_unbudgeted += d.sat_unbudgeted;
+        self.bdd_calls += d.bdd_calls;
+        self.bdd_refuted += d.bdd_refuted;
+        self.bdd_confirmed += d.bdd_confirmed;
+        self.bdd_overflow += d.bdd_overflow;
+        self.learnts_imported += d.learnts_imported;
+        if d.budget_min != 0 && (self.budget_min == 0 || d.budget_min < self.budget_min) {
+            self.budget_min = d.budget_min;
+        }
+        self.budget_max = self.budget_max.max(d.budget_max);
+    }
 }
 
 impl fmt::Display for DispatchStats {
@@ -210,13 +243,13 @@ pub struct EngineStats {
     /// stitch-boundary consistency check (RP007).
     pub stitch_boundaries: Vec<u32>,
     /// Diagnostic counts from the proof lint pass, when
-    /// [`crate::CecOptions::lint_proof`] ran.
+    /// [`crate::EngineConfig::lint_proof`] ran.
     pub lints: Option<lint::LintCounts>,
     /// Per-engine dispatch counters, present when the adaptive
     /// scheduler ran (see [`crate::EngineSelect`]).
     pub dispatch: Option<DispatchStats>,
     /// Pairs-per-worker window used in each parallel round. With
-    /// auto-tuning ([`crate::CecOptions::pairs_per_worker`] `= None`)
+    /// auto-tuning ([`crate::EngineConfig::pairs_per_worker`] `= None`)
     /// the trajectory shows the tuner reacting to round imbalance; with
     /// a fixed override every entry repeats the override.
     pub pair_windows: Vec<u32>,
@@ -253,7 +286,7 @@ pub struct Certificate {
     pub partition: Option<Vec<(ClauseId, cnf::tseitin::Partition)>>,
     /// Run counters.
     pub stats: EngineStats,
-    /// The proof lint report, when [`crate::CecOptions::lint_proof`]
+    /// The proof lint report, when [`crate::EngineConfig::lint_proof`]
     /// ran (its counts are also in [`EngineStats::lints`]).
     pub lint_report: Option<lint::Report>,
 }

@@ -1,14 +1,12 @@
-//! The session layer: one equivalence check as an object over shared
-//! immutable state.
+//! The session layer: the one way to run an equivalence check.
 //!
-//! [`crate::CecOptions`] conflates two different things: the *knobs* of
-//! a run (seeds, budgets, thread counts — plain data, cheap to clone)
-//! and the *process-wide handles* a run reports into (the trace
-//! recorder and the live metrics registry — shared, reference-counted
-//! state). A long-running service that checks many pairs concurrently
-//! wants to build the handles once and the knobs once, then spin up an
-//! arbitrary number of independent checks against them without
-//! re-initializing either. This module is that split:
+//! A check has two kinds of input. The *knobs* of a run (seeds, budgets,
+//! thread counts) are plain data, cheap to clone. The *process-wide
+//! handles* a run reports into (the trace recorder and the live metrics
+//! registry) are shared, reference-counted state. A long-running service
+//! that checks many pairs concurrently builds the handles once and the
+//! knobs once, then runs any number of independent checks against them
+//! without re-initializing either. The types here keep the two apart:
 //!
 //! - [`EngineConfig`] is the pure-knob half: `Clone + Send + Sync`
 //!   plain data with no interior state, so a server can stamp out one
@@ -22,11 +20,8 @@
 //!   cheap (two pointers and a config struct) and independent: many can
 //!   run concurrently over one context from different threads.
 //!
-//! [`crate::Prover`] remains as the one-shot convenience wrapper: it
-//! splits its options into the two halves and runs a single session.
-//! Anything that re-parses or re-initializes per check — the `rcecd`
-//! daemon, the load generator's in-process mode, batch drivers — should
-//! hold a [`SharedContext`] and create sessions instead.
+//! A one-shot check is `Session::new(config, &SharedContext::disabled())`;
+//! [`crate::reduce`] and [`crate::Durable`] take the same two halves.
 
 use crate::engine::{miter_cnf, EngineSelect, Sweep};
 use crate::journal::Durable;
@@ -34,7 +29,6 @@ use crate::miter::Miter;
 use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample};
 use aig::Aig;
 use cnf::tseitin::Partition;
-use cnf::Var;
 use obs::json::Value;
 use obs::metrics::Metrics;
 use obs::{Recorder, TID_COORDINATOR};
@@ -61,14 +55,32 @@ pub struct EngineConfig {
     /// Run SAT sweeping at all; with `false` the engine degenerates to
     /// a monolithic solve of the miter.
     pub sweep: bool,
-    /// Conflict budget per sweeping SAT call (`None` = complete
-    /// sweeping).
+    /// Conflict budget per sweeping SAT call. Candidate pairs whose
+    /// calls run out are *skipped* (left unmerged), which is always
+    /// sound; the final miter solve runs unbudgeted. `None` = complete
+    /// sweeping.
     pub pair_conflict_limit: Option<u64>,
-    /// Worker threads for the sweeping phase (see
-    /// [`crate::CecOptions::threads`]).
+    /// Worker threads for the sweeping phase. `1` (the default) runs the
+    /// classical sequential sweep; `> 1` deals windows of candidate
+    /// pairs round-robin onto persistent worker threads, each with a
+    /// private incremental solver kept in sync with the shared clause
+    /// database by replaying its clause feed, and stitches the workers'
+    /// derivations back into the one global proof in a fixed
+    /// worker-then-discovery order — so the verdict *and* the proof are
+    /// byte-for-byte deterministic for a given seed and thread count.
     pub threads: usize,
-    /// Candidate pairs dealt to each worker per parallel round; `None`
-    /// auto-tunes (see [`crate::CecOptions::pairs_per_worker`]).
+    /// Candidate pairs dealt to each worker per parallel round. The
+    /// window trades per-round synchronization cost against lemma
+    /// locality: pairs are discharged in topological order, so a small
+    /// window means a pair's fanin-cone equivalences were almost always
+    /// merged in an earlier round and reach the worker as unit-strength
+    /// lemma clauses, while a large window forces workers to re-derive
+    /// in-flight predecessors from scratch.
+    ///
+    /// `None` (the default) auto-tunes the window between rounds from
+    /// the observed per-worker conflict imbalance — a deterministic
+    /// signal, so proofs stay byte-reproducible per (seed, threads).
+    /// `Some(n)` pins the window.
     pub pairs_per_worker: Option<usize>,
     /// Discharge-scheduling policy; see [`EngineSelect`].
     pub engine: EngineSelect,
@@ -83,9 +95,16 @@ pub struct EngineConfig {
     pub share_learnts: bool,
     /// Record a resolution proof.
     pub proof: bool,
-    /// Run the static-analysis lint pass over the recorded proof.
+    /// Run the static-analysis lint pass over the recorded proof before
+    /// returning: lint counts land in [`crate::EngineStats::lints`] and
+    /// the full report in [`crate::Certificate::lint_report`]. Much
+    /// cheaper than [`EngineConfig::verify`]'s full replay, and localizes
+    /// defects instead of rejecting wholesale.
     pub lint_proof: bool,
-    /// Run the cross-artifact bundle lint (implies the proof lint).
+    /// Run the cross-artifact bundle lint on top of the proof lint: the
+    /// engine re-derives its own miter CNF via [`crate::miter_cnf`] and
+    /// checks AIG↔CNF↔proof↔certificate binding with
+    /// [`lint::lint_bundle`]. Implies the proof lint.
     pub lint_bundle: bool,
     /// Re-check the proof / counterexample independently before
     /// returning.
@@ -120,11 +139,15 @@ impl Default for EngineConfig {
 /// and observed by every concurrent session.
 #[derive(Clone, Debug)]
 pub struct SharedContext {
-    /// Trace recorder (spans, per-call SAT telemetry). Disabled by
-    /// default.
+    /// Trace recorder: per-phase spans, per-call SAT telemetry, and
+    /// solver restart / reduce-DB events, exported with [`obs::export`].
+    /// Parallel workers record on logical thread ids `1..=threads`; the
+    /// coordinator records on `0`. Disabled by default.
     pub recorder: Recorder,
     /// Live metrics registry (`cec.*` counters, queue gauges, cache
-    /// counters). Disabled by default.
+    /// counters), typically watched by an [`obs::metrics::Sampler`] as a
+    /// `metrics-v1` time series. Metric names are listed in DESIGN.md.
+    /// Disabled by default.
     pub metrics: Metrics,
 }
 
@@ -252,31 +275,16 @@ impl<'c> Session<'c> {
         sweep.stats.circuit_nodes = miter.circuit_nodes;
         sweep.stats.phases.miter = miter_time;
 
-        if self.config.sweep {
-            let sweep_start = Instant::now();
-            if self.config.threads > 1 {
-                sweep.run_parallel(self.config.threads, durable)?;
-            } else {
-                sweep
-                    .solver
-                    .set_conflict_budget(self.config.pair_conflict_limit);
-                sweep.run(durable)?;
-                sweep.solver.set_conflict_budget(None);
-            }
-            let sweep_time = sweep_start.elapsed();
-            rec.complete("sweep", TID_COORDINATOR, sweep_start, sweep_time);
-            // Simulation was timed inside run(); keep the phases disjoint.
-            sweep.stats.phases.sweep = sweep_time.saturating_sub(sweep.stats.phases.sim);
-        }
+        sweep.sweep(durable)?;
 
         // Assert the miter output and ask for the final verdict.
         let out_lit = sweep.lit(miter.output);
-        let out_id = sweep.solver.add_clause(&[out_lit]);
+        let out_id = sweep.sat.solver.add_clause(&[out_lit]);
         if let (Some(sides), Some(id)) = (&mut sweep.sides, out_id) {
             sides.push((id, Partition::B));
         }
         let final_start = Instant::now();
-        let result = sweep.solver.solve();
+        let result = sweep.sat.solver.solve();
         sweep.stats.phases.final_solve = final_start.elapsed();
         rec.complete(
             "final_solve",
@@ -295,14 +303,14 @@ impl<'c> Session<'c> {
                 }),
             )],
         )?;
-        let mut stats = sweep.finish(start);
+        let mut stats = sweep.finish();
 
         match result {
             SolveResult::Unknown => unreachable!("final solve runs without a budget"),
             SolveResult::Unsat => {
-                let empty = sweep.solver.empty_clause_id();
+                let empty = sweep.sat.solver.empty_clause_id();
                 let partition = sweep.sides.take();
-                let proof = sweep.solver.into_proof();
+                let proof = sweep.sat.solver.into_proof();
                 let mut lint_report = None;
                 if let Some(p) = &proof {
                     stats.proof = Some(p.stats());
@@ -355,7 +363,8 @@ impl<'c> Session<'c> {
                         rec.complete("lint", TID_COORDINATOR, lint_start, stats.phases.lint);
                     }
                 }
-                let proof_hash = proof.as_ref().map(|p| {
+                // The fingerprint only feeds the journal's verdict record.
+                let proof_hash = proof.as_ref().filter(|_| durable.is_enabled()).map(|p| {
                     let mut bytes = Vec::new();
                     proof::export::write_tracecheck(p, &mut bytes)
                         .expect("write to Vec cannot fail");
@@ -374,12 +383,7 @@ impl<'c> Session<'c> {
                 })))
             }
             SolveResult::Sat => {
-                let pattern: Vec<bool> = miter
-                    .graph
-                    .inputs()
-                    .iter()
-                    .map(|n| sweep.solver.model_value(Var::new(n.index())))
-                    .collect();
+                let pattern = sweep.sat.model_pattern(&miter.graph);
                 let outputs_a = a.evaluate(&pattern);
                 let outputs_b = b.evaluate(&pattern);
                 let counterexample = Counterexample {
@@ -457,22 +461,5 @@ mod tests {
             assert!(eq.join().unwrap());
             assert!(!ne.join().unwrap());
         });
-    }
-
-    #[test]
-    fn prover_and_session_agree_byte_for_byte() {
-        let a = ripple_carry_adder(4);
-        let b = kogge_stone_adder(4);
-        let opts = crate::CecOptions::default();
-        let from_prover = crate::Prover::new(opts.clone()).prove(&a, &b).unwrap();
-        let (config, ctx) = opts.split();
-        let from_session = Session::new(config, &ctx).check(&a, &b).unwrap();
-        let bytes = |o: &CecOutcome| {
-            let mut buf = Vec::new();
-            let cert = o.certificate().expect("equivalent");
-            proof::export::write_tracecheck(cert.proof.as_ref().unwrap(), &mut buf).unwrap();
-            buf
-        };
-        assert_eq!(bytes(&from_prover), bytes(&from_session));
     }
 }

@@ -9,7 +9,9 @@
 use aig::gen;
 use aig::Aig;
 use cec::journal::PHASES;
-use cec::{CecError, CecOptions, CecOutcome, CrashMode, CrashPoint, Durable, Prover};
+use cec::{
+    CecError, CecOutcome, CrashMode, CrashPoint, Durable, EngineConfig, Session, SharedContext,
+};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -18,11 +20,16 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-fn options(threads: usize) -> CecOptions {
-    CecOptions {
+fn options(threads: usize) -> EngineConfig {
+    EngineConfig {
         threads,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     }
+}
+
+/// One journaled check of `(a, b)` under `opts`.
+fn run(opts: &EngineConfig, a: &Aig, b: &Aig, d: &mut Durable) -> Result<CecOutcome, CecError> {
+    Session::new(opts.clone(), &SharedContext::disabled()).check_durable(a, b, d)
 }
 
 /// TraceCheck serialization of an equivalent outcome's proof.
@@ -39,11 +46,10 @@ fn tc_bytes(outcome: &CecOutcome) -> Vec<u8> {
 /// and journal each time.
 fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
     let opts = options(threads);
-    let prover = Prover::new(opts.clone());
 
     let base_path = tmp(&format!("{name}-t{threads}-base.journal"));
     let mut base = Durable::begin(&base_path, &opts, a, b).expect("begin");
-    let outcome = prover.prove_durable(a, b, &mut base).expect("baseline run");
+    let outcome = run(&opts, a, b, &mut base).expect("baseline run");
     let base_proof = tc_bytes(&outcome);
     let base_journal = std::fs::read(&base_path).expect("baseline journal");
 
@@ -59,7 +65,7 @@ fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
             hit: 1,
             mode: CrashMode::Error,
         });
-        match prover.prove_durable(a, b, &mut d) {
+        match run(&opts, a, b, &mut d) {
             Err(CecError::CrashInjected { phase: p, hit: 1 }) => assert_eq!(&p, phase),
             other => panic!("{name} t{threads} {phase}: expected injected crash, got {other:?}"),
         }
@@ -70,8 +76,7 @@ fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
             resumed.pending_replay() > 0,
             "{phase}: crash left no checkpoints"
         );
-        let outcome = prover
-            .prove_durable(a, b, &mut resumed)
+        let outcome = run(&opts, a, b, &mut resumed)
             .unwrap_or_else(|e| panic!("{name} t{threads} {phase}: resume failed: {e}"));
         assert_eq!(
             tc_bytes(&outcome),
@@ -113,13 +118,11 @@ fn resume_rejects_mismatched_options() {
     let opts = options(1);
     let path = tmp("mismatch.journal");
     let mut d = Durable::begin(&path, &opts, &a, &b).expect("begin");
-    Prover::new(opts.clone())
-        .prove_durable(&a, &b, &mut d)
-        .expect("run");
+    run(&opts, &a, &b, &mut d).expect("run");
     drop(d);
 
     // Different seed → different header → refuse to resume.
-    let other = CecOptions {
+    let other = EngineConfig {
         seed: 7,
         ..opts.clone()
     };
@@ -156,7 +159,7 @@ fn resume_detects_checkpoint_divergence() {
     drop(w);
 
     let mut resumed = Durable::resume(&path, &opts, &a, &b).expect("resume");
-    match Prover::new(opts).prove_durable(&a, &b, &mut resumed) {
+    match run(&opts, &a, &b, &mut resumed) {
         Err(CecError::ReplayDivergence { seq: 1, .. }) => {}
         other => panic!("expected divergence at seq 1, got {other:?}"),
     }
@@ -174,9 +177,7 @@ fn inequivalent_runs_journal_the_counterexample() {
     let opts = options(1);
     let path = tmp("sat.journal");
     let mut d = Durable::begin(&path, &opts, &a, &b).expect("begin");
-    let outcome = Prover::new(opts)
-        .prove_durable(&a, &b, &mut d)
-        .expect("run");
+    let outcome = run(&opts, &a, &b, &mut d).expect("run");
     assert!(outcome.counterexample().is_some());
     drop(d);
 
@@ -191,4 +192,40 @@ fn inequivalent_runs_journal_the_counterexample() {
         "SAT verdict carries the pattern"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// FNV-1a-64 of the header line and of the whole journal of an
+/// uninterrupted adder-6 run, per thread count. Pinned so that a change
+/// to the config plumbing cannot silently alter the journal format;
+/// regenerate only when the format is meant to change.
+const GOLDEN_JOURNALS: &[(usize, &str, &str)] = &[
+    (1, "2856bb056b9f9b12", "721c75f0e854fd08"),
+    (2, "c7df11e29b7e1c49", "0d36aec420d094d4"),
+];
+
+#[test]
+fn journal_bytes_match_the_golden_hashes() {
+    let a = gen::ripple_carry_adder(6);
+    let b = gen::kogge_stone_adder(6);
+    let mut actual = Vec::new();
+    for threads in [1, 2] {
+        let opts = options(threads);
+        let path = tmp(&format!("golden-t{threads}.journal"));
+        let mut d = Durable::begin(&path, &opts, &a, &b).expect("begin");
+        run(&opts, &a, &b, &mut d).expect("run");
+        drop(d);
+        let bytes = std::fs::read(&path).expect("journal");
+        let header = bytes.split(|&c| c == b'\n').next().expect("header line");
+        actual.push((
+            threads,
+            obs::hash::fnv1a64_hex(header),
+            obs::hash::fnv1a64_hex(&bytes),
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+    let golden: Vec<(usize, String, String)> = GOLDEN_JOURNALS
+        .iter()
+        .map(|&(t, h, j)| (t, h.to_string(), j.to_string()))
+        .collect();
+    assert_eq!(actual, golden, "journal bytes moved");
 }

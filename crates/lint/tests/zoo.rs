@@ -9,7 +9,7 @@
 
 use aig::gen;
 use aig::Aig;
-use cec::{CecOptions, CecOutcome, Prover};
+use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use std::time::Instant;
 
 /// Every equivalent pair in the benchmark family zoo, at small sizes
@@ -81,14 +81,14 @@ fn equivalent_pairs() -> Vec<(&'static str, Aig, Aig)> {
 
 fn lint_zoo(threads: usize) {
     for (name, a, b) in equivalent_pairs() {
-        let options = CecOptions {
+        let config = EngineConfig {
             threads,
             lint_proof: true,
             lint_bundle: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
-        let outcome = Prover::new(options)
-            .prove(&a, &b)
+        let outcome = Session::new(config, &SharedContext::disabled())
+            .check(&a, &b)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let CecOutcome::Equivalent(cert) = outcome else {
             panic!("{name}: zoo pair not proven equivalent");
@@ -128,7 +128,9 @@ fn zoo_proofs_lint_clean_parallel() {
 fn structural_pass_beats_full_replay_on_64bit_adder() {
     let a = gen::ripple_carry_adder(64);
     let b = gen::kogge_stone_adder(64);
-    let outcome = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+    let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().expect("adders are equivalent");
     let p = cert.proof.as_ref().expect("proof recorded");
 

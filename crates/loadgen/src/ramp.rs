@@ -19,7 +19,7 @@
 //! are abandoned and counted as failures, bounding each step's wall
 //! clock.
 //!
-//! Every completed request was a full [`cec::Prover`] run; engine
+//! Every completed request was a full [`cec::Session::check`] run; engine
 //! errors and wrong verdicts count as failures, so sustainable rates
 //! are rates of *certified* answers.
 //!
@@ -195,19 +195,17 @@ pub fn run_scenario(
         .unwrap_or_else(|| panic!("unknown family `{}`", scenario.family));
     let metrics = Metrics::new();
     let latency = metrics.histogram("rbench.latency_us");
-    let prover = cec::Prover::new(cec::CecOptions {
-        metrics: metrics.clone(),
-        ..cec::CecOptions::default()
-    });
+    let ctx = cec::SharedContext::new(obs::Recorder::disabled(), metrics.clone());
+    let session = cec::Session::new(cec::EngineConfig::default(), &ctx);
 
     let mut steps: Vec<StepResult> = Vec::new();
     let mut snapshots: Vec<Value> = Vec::new();
     let mut rps = ramp.initial_rps;
     let mut seq = 0u64;
     let make_check = || {
-        let (prover, a, b) = (&prover, &a, &b);
+        let (session, a, b) = (&session, &a, &b);
         move || {
-            let ok = matches!(prover.prove(a, b), Ok(ref o) if o.is_equivalent());
+            let ok = matches!(session.check(a, b), Ok(ref o) if o.is_equivalent());
             (ok, false)
         }
     };

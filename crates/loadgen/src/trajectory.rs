@@ -107,14 +107,14 @@ pub fn snapshot_runs_with(share_learnts: bool, progress: &mut dyn FnMut(&str)) -
                 } else {
                     cec::EngineSelect::Static
                 };
-                let prover = cec::Prover::new(cec::CecOptions {
+                let config = cec::EngineConfig {
                     engine: select,
                     threads,
                     share_learnts,
-                    ..cec::CecOptions::default()
-                });
-                let outcome = prover
-                    .prove(&a, &b)
+                    ..cec::EngineConfig::default()
+                };
+                let outcome = cec::Session::new(config, &cec::SharedContext::disabled())
+                    .check(&a, &b)
                     .unwrap_or_else(|e| panic!("{pair}: {e}"));
                 assert!(outcome.is_equivalent(), "{pair}: zoo pair not equivalent");
                 runs.push(Value::Object(vec![

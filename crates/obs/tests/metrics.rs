@@ -5,27 +5,37 @@
 use obs::json::Value;
 use obs::metrics::{Metrics, Sampler};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 /// Counting wrapper over the system allocator so tests can assert that
 /// a code path allocates nothing.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per thread, because the
+    /// test harness runs other tests (which allocate) concurrently; a
+    /// const-initialized `Cell` needs no allocation or destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`, adding only a relaxed
-// counter bump.
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`, adding only a thread-local
+// counter bump that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -214,7 +224,7 @@ fn disabled_mode_does_not_allocate() {
     let c = metrics.counter("warm");
     c.inc();
 
-    let start = ALLOCATIONS.load(Ordering::SeqCst);
+    let start = ALLOCATIONS.with(Cell::get);
     let counter = metrics.counter("hot.counter");
     let gauge = metrics.gauge("hot.gauge");
     let hist = metrics.histogram("hot.hist");
@@ -226,7 +236,7 @@ fn disabled_mode_does_not_allocate() {
         hist.record(i);
     }
     assert!(metrics.snapshot(0).is_none(), "disabled never snapshots");
-    let end = ALLOCATIONS.load(Ordering::SeqCst);
+    let end = ALLOCATIONS.with(Cell::get);
     assert_eq!(end - start, 0, "disabled metrics path allocated");
     assert_eq!(counter.get(), 0);
     assert_eq!(gauge.get(), 0);

@@ -88,6 +88,20 @@ pub struct SolverStats {
     pub solves: u64,
 }
 
+impl std::ops::AddAssign for SolverStats {
+    /// Sums the counters of two solvers (e.g. the workers of a parallel
+    /// run into one total).
+    fn add_assign(&mut self, o: SolverStats) {
+        self.conflicts += o.conflicts;
+        self.decisions += o.decisions;
+        self.propagations += o.propagations;
+        self.restarts += o.restarts;
+        self.learnt += o.learnt;
+        self.deleted += o.deleted;
+        self.solves += o.solves;
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
     clause: ClauseRef,

@@ -11,17 +11,21 @@
 //! Run with: `cargo run --release --example bug_hunt`
 
 use resolution_cec::aig::gen::{array_multiplier, mutate};
-use resolution_cec::cec::{CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let golden = array_multiplier(5);
     println!("golden 5x5 array multiplier: {} gates", golden.num_ands());
 
-    let prover = Prover::new(CecOptions {
-        verify: true,
-        ..CecOptions::default()
-    });
+    let ctx = SharedContext::disabled();
+    let session = Session::new(
+        EngineConfig {
+            verify: true,
+            ..EngineConfig::default()
+        },
+        &ctx,
+    );
 
     let mut caught = 0;
     let mut masked = 0;
@@ -30,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let Some(mutant) = mutate(&golden, seed) else {
             continue;
         };
-        match prover.prove(&golden, &mutant)? {
+        match session.check(&golden, &mutant)? {
             outcome if outcome.is_equivalent() => {
                 // The fault is masked: logically unobservable. Audit it.
                 let cert = outcome.certificate().expect("equivalent");

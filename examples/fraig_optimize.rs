@@ -12,7 +12,7 @@
 
 use resolution_cec::aig::gen::{brent_kung_adder, ripple_carry_adder};
 use resolution_cec::aig::{Aig, Lit, Node};
-use resolution_cec::cec::{reduce, CecOptions, Prover};
+use resolution_cec::cec::{reduce, EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 
 /// Imports `src` into `g` over `inputs` without structural hashing.
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t = std::time::Instant::now();
-    let optimized = reduce(&bloated, &CecOptions::default());
+    let optimized = reduce(&bloated, &EngineConfig::default());
     println!(
         "fraig reduce:   {} AND gates ({:.0}% removed) in {:?}",
         optimized.num_ands(),
@@ -62,11 +62,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Sign off the optimization with a checkable proof.
-    let outcome = Prover::new(CecOptions {
+    let verify = EngineConfig {
         verify: true,
-        ..CecOptions::default()
-    })
-    .prove(&bloated, &optimized)?;
+        ..EngineConfig::default()
+    };
+    let outcome = Session::new(verify, &SharedContext::disabled()).check(&bloated, &optimized)?;
     let cert = outcome
         .certificate()
         .expect("reduction must preserve the function");

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use resolution_cec::aig::gen::{kogge_stone_adder, ripple_carry_adder};
-use resolution_cec::cec::{CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b.depth()
     );
 
-    let outcome = Prover::new(CecOptions::default()).prove(&a, &b)?;
+    let ctx = SharedContext::disabled();
+    let outcome = Session::new(EngineConfig::default(), &ctx).check(&a, &b)?;
     let cert = outcome.certificate().expect("the adders are equivalent");
     let stats = &cert.stats;
     println!("verdict: EQUIVALENT in {:?}", stats.elapsed);

@@ -11,10 +11,18 @@
 //! the past so the suite replays them forever, proptest or not.
 
 use proptest::prelude::*;
+use resolution_cec::aig::Aig;
 use resolution_cec::aig::{aiger, gen};
-use resolution_cec::cec::{miter_cnf, CecOptions, Miter, Prover};
+use resolution_cec::cec::{
+    miter_cnf, CecError, CecOutcome, EngineConfig, Miter, Session, SharedContext,
+};
 use resolution_cec::cnf::dimacs;
 use resolution_cec::proof::{export, import};
+
+/// One check of `a` against `b` under `config`.
+fn check(config: EngineConfig, a: &Aig, b: &Aig) -> Result<CecOutcome, CecError> {
+    Session::new(config, &SharedContext::disabled()).check(a, b)
+}
 
 /// Past panics and pathological headers, replayed on every run.
 ///
@@ -63,7 +71,7 @@ fn regressions_never_panic() {
 fn valid_artifacts() -> Vec<Vec<u8>> {
     let a = gen::ripple_carry_adder(3);
     let b = gen::carry_lookahead_adder(3);
-    let outcome = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+    let outcome = check(EngineConfig::default(), &a, &b).unwrap();
     let cert = outcome.certificate().expect("adders are equivalent");
     let proof = cert.proof.as_ref().expect("proof logging is on");
 
