@@ -167,9 +167,11 @@ enum PairVerdict {
         fwd: Option<ClauseId>,
         bwd: Option<ClauseId>,
     },
-    /// A model distinguished the pair; refine the classes with this
-    /// input pattern.
-    Refuted(Vec<bool>),
+    /// A model distinguished the pair; refine the classes with these 64
+    /// input patterns (`words[i]` holds input `i`, one pattern per bit).
+    /// Bit 0 separates the pair; the other bits are its distance-1
+    /// neighbours (see [`Discharger::refutation_words`]).
+    Refuted(Vec<u64>),
     /// The per-pair conflict budget ran out; the pair stays unmerged,
     /// which is always sound.
     Skipped,
@@ -255,12 +257,15 @@ struct WorkerReport {
 /// discharges a candidate pair — the sequential sweep owns one over the
 /// global clause database, every parallel-sweep worker owns one over its
 /// private copy — and does so in one way: optional BDD probe and
-/// per-pair conflict budget, two assumption-based SAT calls, each proven
-/// direction committed as a canonical lemma, and on SAT the model's input
-/// pattern. Its counters accumulate in a tally the owner takes.
+/// per-pair conflict budget, two assumption-based SAT calls that stop as
+/// soon as the pair's fan-in cone is decided, each proven direction
+/// committed as a canonical lemma, and on SAT 64 input patterns around
+/// the model. Its counters accumulate in a tally the owner takes.
 pub(crate) struct Discharger {
     pub(crate) solver: Solver,
     proof: bool,
+    /// The current pair's fan-in cone.
+    cone: Cone,
     recorder: Recorder,
     tid: u32,
     /// Live per-call counters: `cec.*` engine-wide for the sequential
@@ -285,6 +290,7 @@ impl Discharger {
         Discharger {
             solver,
             proof,
+            cone: Cone::default(),
             recorder: ctx.recorder.clone(),
             tid: TID_COORDINATOR,
             m_sat_calls: m.counter("cec.sat_calls"),
@@ -308,6 +314,7 @@ impl Discharger {
         Discharger {
             solver,
             proof,
+            cone: Cone::default(),
             recorder: ctx.recorder.clone(),
             tid,
             m_sat_calls: m.counter(&format!("cec.worker{w}.sat_calls")),
@@ -334,9 +341,9 @@ impl Discharger {
             self.dispatch.bdd_calls += 1;
             self.m_bdd_calls.inc();
             match bdd_probe(graph, n, target, BDD_PROBE_NODE_LIMIT) {
-                BddProbe::Refuted(pattern) => {
+                BddProbe::Refuted(words) => {
                     self.dispatch.bdd_refuted += 1;
-                    return PairVerdict::Refuted(pattern);
+                    return PairVerdict::Refuted(words);
                 }
                 BddProbe::Confirmed => {
                     // The pair is equivalent; run the lemma extraction
@@ -360,8 +367,11 @@ impl Discharger {
     /// Attempts to prove `v_n ≡ target` with two incremental SAT calls
     /// (`v_n ∧ ¬target`, then `¬v_n ∧ target`, each unsatisfiable?),
     /// committing each proven direction as a canonical lemma so later
-    /// pairs resolve against it.
+    /// pairs resolve against it. Both calls are cone-complete over the
+    /// pair's fan-in cone.
     fn prove(&mut self, graph: &Aig, n: NodeId, target: Lit) -> PairVerdict {
+        self.cone
+            .collect(graph, [n, NodeId::new(target.var().index())]);
         let vn = Var::new(n.index());
         let directions = [
             ([vn.positive(), !target], [vn.negative(), target]),
@@ -373,7 +383,7 @@ impl Discharger {
             match self.traced_solve(&assumptions, n) {
                 SolveResult::Sat => {
                     self.tally.sat_cex += 1;
-                    return PairVerdict::Refuted(self.model_pattern(graph));
+                    return PairVerdict::Refuted(self.refutation_words(graph));
                 }
                 SolveResult::Unknown => return PairVerdict::Skipped,
                 SolveResult::Unsat => self.tally.sat_unsat += 1,
@@ -385,21 +395,63 @@ impl Discharger {
         PairVerdict::Proved { fwd, bwd }
     }
 
-    /// One sweeping SAT call with per-call telemetry: the conflict delta
-    /// is always recorded into the tally's histogram (cheap) and into the
-    /// live call/conflict counters (one branch each when metrics are
-    /// off); a `sat_call` span with node / verdict / conflict / decision
-    /// / propagation args is recorded when tracing is enabled.
+    /// The 64 input patterns of a refutation: the solver's model in bit
+    /// 0, and in bits 1–63 copies of it with one cone input flipped each
+    /// (every cone input when there are at most 63, else 63 of them
+    /// evenly spaced). The model is cone-complete, so bit 0 separates the
+    /// pair whatever the out-of-cone inputs; its neighbours cost one
+    /// simulation word and split further classes for free.
+    fn refutation_words(&self, graph: &Aig) -> Vec<u64> {
+        let mut words: Vec<u64> = graph
+            .inputs()
+            .iter()
+            .map(|node| {
+                if self.solver.model_value(Var::new(node.index())) {
+                    !0
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let inputs = &self.cone.inputs;
+        let flips = inputs.len().min(63);
+        for j in 0..flips {
+            words[inputs[j * inputs.len() / flips] as usize] ^= 1 << (j + 1);
+        }
+        words
+    }
+
+    /// One cone-complete sweeping SAT call with per-call telemetry: the
+    /// call's decisions, propagations and time join the tally's work
+    /// block for its verdict, and the conflict delta is recorded into the
+    /// tally's histogram (cheap) and into the live call/conflict counters
+    /// (one branch each when metrics are off); a `sat_call` span with
+    /// node / verdict / conflict / decision / propagation / cone-size args
+    /// is recorded when tracing is enabled.
     fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
         let before = *self.solver.stats();
         let mut span = self.recorder.span("sat_call", self.tid);
-        let result = self.solver.solve_with(assumptions);
+        let start = Instant::now();
+        let result = self.solver.solve_in_cone(assumptions, &self.cone.vars);
+        let elapsed = start.elapsed();
         let after = self.solver.stats();
         let conflicts = after.conflicts - before.conflicts;
+        let work = match result {
+            SolveResult::Sat => Some(&mut self.tally.sat_cex_work),
+            SolveResult::Unsat => Some(&mut self.tally.sat_unsat_work),
+            SolveResult::Unknown => None,
+        };
+        if let Some(work) = work {
+            work.calls += 1;
+            work.decisions += after.decisions - before.decisions;
+            work.propagations += after.propagations - before.propagations;
+            work.elapsed += elapsed;
+        }
         self.tally.conflict_hist.record(conflicts);
         self.m_sat_calls.inc();
         self.m_conflicts.add(conflicts);
         if span.is_enabled() {
+            span.arg("cone", self.cone.vars.len());
             span.arg("node", u64::from(n.index()));
             span.arg(
                 "verdict",
@@ -446,6 +498,50 @@ impl Discharger {
             .iter()
             .map(|node| self.solver.model_value(Var::new(node.index())))
             .collect()
+    }
+}
+
+/// The transitive fan-in cone of one candidate pair: `n` and the
+/// target's root. Rebuilt in place for every pair by a stamp-marked DFS,
+/// so no pair allocates once the buffers have grown.
+#[derive(Default)]
+struct Cone {
+    /// The cone's nodes as solver variables, in DFS order.
+    vars: Vec<Var>,
+    /// Input indices of the cone's input nodes, in DFS order.
+    inputs: Vec<u32>,
+    /// A node is in the current cone iff its stamp equals `epoch`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NodeId>,
+}
+
+impl Cone {
+    /// Replaces the cone with the transitive fan-in of `roots`.
+    fn collect(&mut self, graph: &Aig, roots: [NodeId; 2]) {
+        if self.stamp.len() < graph.len() {
+            self.stamp.resize(graph.len(), 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.vars.clear();
+        self.inputs.clear();
+        self.stack.clear();
+        self.stack.extend(roots);
+        while let Some(v) = self.stack.pop() {
+            if std::mem::replace(&mut self.stamp[v.as_usize()], self.epoch) == self.epoch {
+                continue;
+            }
+            self.vars.push(Var::new(v.index()));
+            match *graph.node(v) {
+                aig::Node::And { a, b } => self.stack.extend([a.node(), b.node()]),
+                aig::Node::Input { index } => self.inputs.push(index),
+                aig::Node::Const => {}
+            }
+        }
     }
 }
 
@@ -573,10 +669,11 @@ const BDD_PROBE_NODE_LIMIT: usize = 20_000;
 
 /// Outcome of a cone-bounded BDD probe of one candidate pair.
 enum BddProbe {
-    /// The cones differ; this full-input pattern distinguishes them.
-    /// Sound to refine the classes with — no proof obligation, since
-    /// refinements never enter the proof.
-    Refuted(Vec<bool>),
+    /// The cones differ; this full-input pattern distinguishes them, as
+    /// one word per input with all 64 bits equal. Sound to refine the
+    /// classes with — no proof obligation, since refinements never enter
+    /// the proof.
+    Refuted(Vec<u64>),
     /// The cones are extensionally equal. Advisory only: the merge
     /// lemma still comes from SAT so the proof stays self-contained.
     Confirmed,
@@ -613,11 +710,11 @@ fn bdd_probe(graph: &Aig, n: NodeId, target: Lit, node_limit: usize) -> BddProbe
         .enumerate()
         .filter_map(|(orig, l)| l.map(|_| orig))
         .collect();
-    let mut pattern = vec![false; graph.num_inputs()];
+    let mut words = vec![0; graph.num_inputs()];
     for (level, value) in assign {
-        pattern[cone_inputs[level as usize]] = value;
+        words[cone_inputs[level as usize]] = if value { !0 } else { 0 };
     }
-    BddProbe::Refuted(pattern)
+    BddProbe::Refuted(words)
 }
 
 /// The adaptive scheduler: static per-node hardness signals computed
@@ -1032,6 +1129,8 @@ impl<'g> Sweep<'g> {
         self.stats.sat_calls += tally.sat_calls;
         self.stats.sat_unsat += tally.sat_unsat;
         self.stats.sat_cex += tally.sat_cex;
+        self.stats.sat_cex_work.add(&tally.sat_cex_work);
+        self.stats.sat_unsat_work.add(&tally.sat_unsat_work);
         self.stats.sat_conflict_hist.merge(&tally.conflict_hist);
         self.stats.lemma_chain_hist.merge(&tally.lemma_chain_hist);
         if let Some(ds) = self.stats.dispatch.as_mut() {
@@ -1090,11 +1189,16 @@ impl<'g> Sweep<'g> {
                         classes.remove(n);
                         break;
                     }
-                    PairVerdict::Refuted(pattern) => {
+                    PairVerdict::Refuted(words) => {
                         self.record_refinement(n);
-                        classes.refine_with_pattern(self.graph, &pattern);
+                        classes.refine_with_words(self.graph, &words);
                         // The candidate is recomputed; the class of `n`
                         // necessarily split, so this loop terminates.
+                        debug_assert!(
+                            separates(self.graph, &words, n, target)
+                                && !classes.same_class(n, leader),
+                            "refutation of node {n} must split its class"
+                        );
                     }
                     PairVerdict::Skipped => {
                         // Sound to leave the pair undecided: the final
@@ -1451,9 +1555,18 @@ impl<'g> Sweep<'g> {
                                 self.link(n, root, phase, fwd, bwd);
                                 classes.remove(n);
                             }
-                            PairVerdict::Refuted(pattern) => {
+                            PairVerdict::Refuted(words) => {
                                 self.record_refinement(n);
-                                classes.refine_with_pattern(self.graph, &pattern);
+                                classes.refine_with_words(self.graph, &words);
+                                debug_assert!(
+                                    separates(
+                                        self.graph,
+                                        &words,
+                                        n,
+                                        Var::new(root.index()).lit(phase)
+                                    ) && !classes.same_class(n, root),
+                                    "refutation of node {n} must split its class"
+                                );
                             }
                             PairVerdict::Skipped => {
                                 if policy.is_some() && !retry_round {
@@ -1746,6 +1859,15 @@ impl<'g> Sweep<'g> {
         stats.solver += *self.sat.solver.stats();
         stats
     }
+}
+
+/// Whether pattern 0 of a refutation's input words (bit 0 of each word)
+/// gives `v_n` and `target` different values. The sweeps' debug check
+/// that every refutation separates its pair.
+fn separates(graph: &Aig, words: &[u64], n: NodeId, target: Lit) -> bool {
+    let sig = graph.simulate_word(words);
+    let value = |v: Var, negated: bool| (sig[v.as_usize()] & 1 == 1) != negated;
+    value(Var::new(n.index()), false) != value(target.var(), target.is_negative())
 }
 
 #[inline]
@@ -2043,6 +2165,89 @@ mod tests {
             "solver block {} misses worker propagations {worker_propagations}",
             stats.solver.propagations
         );
+    }
+
+    /// Propagations of the sweep's SAT calls that ended `Unknown` (cut
+    /// off by a conflict budget), from the `sat_call` trace spans.
+    fn skipped_call_propagations(recorder: &Recorder) -> u64 {
+        let arg =
+            |e: &obs::Event, key: &str| e.args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        recorder
+            .take_events()
+            .iter()
+            .filter(|e| e.name == "sat_call")
+            .filter(|e| matches!(arg(e, "verdict"), Some(ArgVal::Str(v)) if v == "unknown"))
+            .map(|e| match arg(e, "propagations") {
+                Some(ArgVal::U64(p)) => p,
+                other => panic!("sat_call span without propagations: {other:?}"),
+            })
+            .sum()
+    }
+
+    #[test]
+    fn per_verdict_work_accounts_for_the_sweep_propagations() {
+        use aig::gen::{array_multiplier, carry_save_multiplier};
+        let adder = ripple_carry_adder(12);
+        let mutant = (0..40)
+            .filter_map(|s| mutate(&adder, s))
+            .find(|m| aig::sim::exhaustive_diff(&adder, m, 25).is_some())
+            .expect("differing mutant");
+        let cells = [
+            (adder.clone(), kogge_stone_adder(12), None),
+            (adder, mutant, None),
+            (array_multiplier(4), carry_save_multiplier(4), Some(3)),
+        ];
+        let (mut cex, mut skipped) = (0, 0);
+        for (a, b, limit) in cells {
+            let miter = Miter::build(&a, &b, true);
+            for threads in [1, 2] {
+                let recorder = Recorder::new();
+                let ctx = SharedContext::new(recorder.clone(), Metrics::disabled());
+                let config = EngineConfig {
+                    threads,
+                    pair_conflict_limit: limit,
+                    ..EngineConfig::default()
+                };
+                let mut sweep = Sweep::new(&miter.graph, &config, &ctx, None);
+                let before = sweep.sat.solver.stats().propagations;
+                sweep.sweep(&mut Durable::disabled()).unwrap();
+                // `finish` adds the global solver's counters to the
+                // parallel workers' already folded in.
+                let stats = sweep.finish();
+                let share = stats.solver.propagations - before;
+                let unknown = skipped_call_propagations(&recorder);
+                let calls =
+                    stats.sat_cex_work.propagations + stats.sat_unsat_work.propagations + unknown;
+                if threads == 1 {
+                    assert_eq!(
+                        calls, share,
+                        "per-verdict propagations must add up to the sweep's"
+                    );
+                } else {
+                    // Workers also propagate while replaying the clause
+                    // feed, outside any SAT call.
+                    assert!(calls <= share, "t{threads}: {calls} > {share}");
+                }
+                assert_eq!(
+                    stats.sat_cex_work.calls + stats.sat_unsat_work.calls,
+                    stats.sat_cex + stats.sat_unsat
+                );
+                let workers = stats
+                    .workers
+                    .iter()
+                    .fold(WorkerStats::default(), |mut t, w| {
+                        t.add(w);
+                        t
+                    });
+                if threads > 1 {
+                    assert_eq!(workers.sat_cex_work, stats.sat_cex_work);
+                    assert_eq!(workers.sat_unsat_work, stats.sat_unsat_work);
+                }
+                cex += stats.sat_cex_work.calls;
+                skipped += unknown;
+            }
+        }
+        assert!(cex > 0 && skipped > 0, "cells exercise every verdict");
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use journal::{CrashMode, CrashPoint, Durable};
 pub use miter::Miter;
 pub use outcome::{
     CecError, CecOutcome, Certificate, Counterexample, DispatchStats, EngineStats, PhaseTimes,
-    WorkerStats,
+    SatWork, WorkerStats,
 };
 pub use session::{EngineConfig, Session, SharedContext};
 pub use sim::SimClasses;

@@ -52,6 +52,31 @@ impl fmt::Display for PhaseTimes {
     }
 }
 
+/// SAT work of the sweeping calls that ended in one verdict: the
+/// per-verdict split of the solver counters (see
+/// [`EngineStats::sat_cex_work`] and [`EngineStats::sat_unsat_work`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SatWork {
+    /// Calls that ended in this verdict.
+    pub calls: u64,
+    /// Decisions made by those calls.
+    pub decisions: u64,
+    /// Literals propagated by those calls.
+    pub propagations: u64,
+    /// Wall-clock time spent in those calls.
+    pub elapsed: Duration,
+}
+
+impl SatWork {
+    /// Adds another block's counters into this one.
+    pub(crate) fn add(&mut self, o: &SatWork) {
+        self.calls += o.calls;
+        self.decisions += o.decisions;
+        self.propagations += o.propagations;
+        self.elapsed += o.elapsed;
+    }
+}
+
 /// Counters for one parallel-sweep worker, aggregated over all rounds
 /// it participated in (see [`crate::EngineConfig::threads`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,6 +87,10 @@ pub struct WorkerStats {
     pub sat_unsat: u64,
     /// SAT calls that returned a counterexample.
     pub sat_cex: u64,
+    /// Work of this worker's counterexample calls.
+    pub sat_cex_work: SatWork,
+    /// Work of this worker's UNSAT calls.
+    pub sat_unsat_work: SatWork,
     /// CDCL conflicts in this worker's private solvers.
     pub conflicts: u64,
     /// Candidate pairs this worker proved equivalent (merges).
@@ -83,6 +112,8 @@ impl WorkerStats {
         self.sat_calls += round.sat_calls;
         self.sat_unsat += round.sat_unsat;
         self.sat_cex += round.sat_cex;
+        self.sat_cex_work.add(&round.sat_cex_work);
+        self.sat_unsat_work.add(&round.sat_unsat_work);
         self.conflicts += round.conflicts;
         self.merges += round.merges;
         self.lemmas += round.lemmas;
@@ -204,6 +235,13 @@ pub struct EngineStats {
     pub sat_unsat: u64,
     /// SAT calls that returned a counterexample.
     pub sat_cex: u64,
+    /// Decisions, propagations and time of the counterexample calls
+    /// (parallel runs fold every worker's block in here). Calls cut off
+    /// by a conflict budget count in neither this nor
+    /// [`EngineStats::sat_unsat_work`].
+    pub sat_cex_work: SatWork,
+    /// Decisions, propagations and time of the UNSAT calls.
+    pub sat_unsat_work: SatWork,
     /// Class refinement rounds triggered by counterexamples.
     pub refinements: u64,
     /// Merges discharged purely by structural-hash resolution.

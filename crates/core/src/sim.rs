@@ -17,6 +17,10 @@ use aig::{Aig, NodeId};
 #[derive(Clone, Debug)]
 pub struct SimClasses {
     classes: Vec<Vec<NodeId>>,
+    /// Indices of the classes that had at least two members when last
+    /// looked at; classes shrunk by [`SimClasses::remove`] since then are
+    /// dropped lazily, so scans never revisit dead classes.
+    live: Vec<u32>,
     /// `membership[node] = Some((class, phase))`.
     membership: Vec<Option<(u32, bool)>>,
     /// Normalization phase per node: LSB of the node's first signature
@@ -67,24 +71,29 @@ impl SimClasses {
             }
         }
         SimClasses {
+            live: (0..classes.len() as u32).collect(),
             classes,
             membership,
             phase,
         }
     }
 
+    /// The live (≥2 member) classes.
+    fn live_classes(&self) -> impl Iterator<Item = &Vec<NodeId>> + '_ {
+        self.live
+            .iter()
+            .map(|&c| &self.classes[c as usize])
+            .filter(|c| c.len() >= 2)
+    }
+
     /// Number of (live, ≥2 member) classes.
     pub fn num_classes(&self) -> usize {
-        self.classes.iter().filter(|c| c.len() >= 2).count()
+        self.live_classes().count()
     }
 
     /// Total number of nodes in live classes.
     pub fn num_candidates(&self) -> usize {
-        self.classes
-            .iter()
-            .filter(|c| c.len() >= 2)
-            .map(Vec::len)
-            .sum()
+        self.live_classes().map(Vec::len).sum()
     }
 
     /// The class and phase of `n`, if it is in a live class.
@@ -123,6 +132,14 @@ impl SimClasses {
         Some((m, pn ^ self.phase[m.as_usize()]))
     }
 
+    /// Whether `a` and `b` are members of the same live class.
+    pub(crate) fn same_class(&self, a: NodeId, b: NodeId) -> bool {
+        matches!(
+            (self.class_of(a), self.class_of(b)),
+            (Some((x, _)), Some((y, _))) if x == y
+        )
+    }
+
     /// Removes `n` from its class (after it has been merged or refuted
     /// for good). Classes shrinking below two members become inert.
     pub fn remove(&mut self, n: NodeId) {
@@ -131,36 +148,66 @@ impl SimClasses {
         }
     }
 
-    /// Refines every class with one concrete input pattern: members
-    /// whose (phase-normalized) value differs from their leader's are
-    /// split off into a new class.
+    /// Refines every class with 64 input patterns at once: `words[i]`
+    /// holds input `i`'s value in each of the 64 patterns, one per bit (a
+    /// single pattern is a word with all 64 bits equal). Each live class
+    /// is regrouped by its members' phase-normalized signature words: the
+    /// group holding the leader keeps the class, every other group of at
+    /// least two members becomes a new class, and singletons leave the
+    /// classes altogether.
     ///
     /// Returns the number of classes that were split.
-    pub fn refine_with_pattern(&mut self, graph: &Aig, pattern: &[bool]) -> usize {
-        let values = graph.evaluate_nodes(pattern);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != graph.num_inputs()`.
+    pub fn refine_with_words(&mut self, graph: &Aig, words: &[u64]) -> usize {
+        let sig = graph.simulate_word(words);
         let mut splits = 0;
-        for ci in 0..self.classes.len() {
-            if self.classes[ci].len() < 2 {
-                continue;
+        // `(normalized signature word, member)` of the class being regrouped.
+        let mut keyed: Vec<(u64, NodeId)> = Vec::new();
+        let old_live = std::mem::take(&mut self.live);
+        for ci in old_live {
+            let members = &self.classes[ci as usize];
+            if members.len() < 2 {
+                continue; // shrunk by `remove` since the last scan
             }
-            let leader = self.classes[ci][0];
-            let key = |n: NodeId, phase: &[bool]| values[n.as_usize()] ^ phase[n.as_usize()];
-            let leader_key = key(leader, &self.phase);
-            let (stay, split): (Vec<NodeId>, Vec<NodeId>) = self.classes[ci]
-                .iter()
-                .partition(|&&n| key(n, &self.phase) == leader_key);
-            if split.is_empty() {
+            let key = |n: NodeId| {
+                let mask = if self.phase[n.as_usize()] { !0u64 } else { 0 };
+                sig[n.as_usize()] ^ mask
+            };
+            let leader_key = key(members[0]);
+            if members.iter().all(|&n| key(n) == leader_key) {
+                self.live.push(ci);
                 continue;
             }
             splits += 1;
-            self.classes[ci] = stay;
-            let new_ci = self.classes.len() as u32;
-            for &n in &split {
-                if let Some(m) = &mut self.membership[n.as_usize()] {
-                    m.0 = new_ci;
+            keyed.clear();
+            keyed.extend(members.iter().map(|&n| (key(n), n)));
+            // Stable: each group stays in topological order.
+            keyed.sort_by_key(|&(k, _)| k);
+            let mut stay = Vec::new();
+            for group in keyed.chunk_by(|x, y| x.0 == y.0) {
+                let nodes = group.iter().map(|&(_, n)| n);
+                if group[0].0 == leader_key {
+                    stay.extend(nodes);
+                } else if group.len() == 1 {
+                    self.membership[group[0].1.as_usize()] = None;
+                } else {
+                    let new_ci = self.classes.len() as u32;
+                    for (_, n) in group {
+                        if let Some(m) = &mut self.membership[n.as_usize()] {
+                            m.0 = new_ci;
+                        }
+                    }
+                    self.classes.push(nodes.collect());
+                    self.live.push(new_ci);
                 }
             }
-            self.classes.push(split);
+            if stay.len() >= 2 {
+                self.live.push(ci);
+            }
+            self.classes[ci as usize] = stay;
         }
         splits
     }
@@ -228,12 +275,63 @@ mod tests {
         let mut classes = SimClasses::from_random_simulation(&g, 1, 0);
         // Whatever the initial classes, refining with a distinguishing
         // pattern must never leave `and` and `or` in the same class.
-        classes.refine_with_pattern(&g, &[true, false]);
+        classes.refine_with_words(&g, &[!0, 0]);
         let ca = classes.class_of(and.node());
         let co = classes.class_of(or.node());
         if let (Some((ca, _)), Some((co, _))) = (ca, co) {
             assert_ne!(ca, co, "x&y and x|y distinguished by pattern 10");
         }
+    }
+
+    #[test]
+    fn distance_one_words_split_classes_and_drop_singletons() {
+        // c_i is true only where input i is the one zero input, so random
+        // simulation puts every c_i (and its unshared twin) in the
+        // constant class; distance-1 flips of the all-ones pattern give
+        // each twin pair its own signature bit.
+        let n = 20;
+        let mut g = Aig::new();
+        let inputs = g.add_inputs(n);
+        let mut twins = Vec::new();
+        for i in 0..n {
+            let lits: Vec<aig::Lit> = (0..n)
+                .map(|j| if i == j { !inputs[j] } else { inputs[j] })
+                .collect();
+            let a = lits[1..]
+                .iter()
+                .fold(lits[0], |acc, &l| g.and_unshared(acc, l));
+            let b = lits[1..]
+                .iter()
+                .fold(lits[0], |acc, &l| g.and_unshared(acc, l));
+            g.add_output(a);
+            g.add_output(b);
+            twins.push((a.node(), b.node()));
+        }
+        let mut classes = SimClasses::from_random_simulation(&g, 1, 7);
+        assert!(twins.iter().all(|&(a, b)| classes.same_class(a, b)));
+        assert!(classes.same_class(twins[0].0, twins[1].0));
+        let mut words = vec![!0u64; n];
+        for (j, w) in words.iter_mut().enumerate() {
+            *w ^= 1 << (j + 1);
+        }
+        assert!(classes.refine_with_words(&g, &words) > 0);
+        for (i, &(a, b)) in twins.iter().enumerate() {
+            assert!(classes.same_class(a, b), "twins {i} stay together");
+            for &(c, _) in &twins[i + 1..] {
+                assert!(!classes.same_class(a, c), "c_{i} split from the others");
+            }
+        }
+        // The counts see exactly the classes that still have two members.
+        let mut live = std::collections::BTreeMap::new();
+        for idx in 0..g.len() as u32 {
+            if let Some((c, _)) = classes.class_of(NodeId::new(idx)) {
+                *live.entry(c).or_insert(0usize) += 1;
+            }
+        }
+        assert_eq!(classes.num_classes(), live.len());
+        assert_eq!(classes.num_candidates(), live.values().sum::<usize>());
+        // A second refinement with the same words splits nothing.
+        assert_eq!(classes.refine_with_words(&g, &words), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! bench harness. Durations are integer microseconds (`*_us` keys):
 //! lossless, deterministic, and diffable across runs.
 
-use crate::outcome::{DispatchStats, EngineStats, PhaseTimes, WorkerStats};
+use crate::outcome::{DispatchStats, EngineStats, PhaseTimes, SatWork, WorkerStats};
 use obs::json::Value;
 use proof::ProofStats;
 use sat::SolverStats;
@@ -48,6 +48,15 @@ fn solver_json(s: &SolverStats) -> Value {
         ("learnt", Value::U64(s.learnt)),
         ("deleted", Value::U64(s.deleted)),
         ("solves", Value::U64(s.solves)),
+    ])
+}
+
+fn sat_work_json(w: &SatWork) -> Value {
+    obj(vec![
+        ("calls", Value::U64(w.calls)),
+        ("decisions", Value::U64(w.decisions)),
+        ("propagations", Value::U64(w.propagations)),
+        ("elapsed_us", us(w.elapsed)),
     ])
 }
 
@@ -95,6 +104,8 @@ impl WorkerStats {
             ("sat_calls", Value::U64(self.sat_calls)),
             ("sat_unsat", Value::U64(self.sat_unsat)),
             ("sat_cex", Value::U64(self.sat_cex)),
+            ("sat_cex_work", sat_work_json(&self.sat_cex_work)),
+            ("sat_unsat_work", sat_work_json(&self.sat_unsat_work)),
             ("conflicts", Value::U64(self.conflicts)),
             ("merges", Value::U64(self.merges)),
             ("lemmas", Value::U64(self.lemmas)),
@@ -121,6 +132,8 @@ impl EngineStats {
             ("sat_calls", Value::U64(self.sat_calls)),
             ("sat_unsat", Value::U64(self.sat_unsat)),
             ("sat_cex", Value::U64(self.sat_cex)),
+            ("sat_cex_work", sat_work_json(&self.sat_cex_work)),
+            ("sat_unsat_work", sat_work_json(&self.sat_unsat_work)),
             ("refinements", Value::U64(self.refinements)),
             ("structural_merges", Value::U64(self.structural_merges)),
             ("pairs_skipped", Value::U64(self.pairs_skipped)),
@@ -247,6 +260,12 @@ mod tests {
                 ..PhaseTimes::default()
             },
             check_elapsed: Some(Duration::from_micros(55)),
+            sat_cex_work: SatWork {
+                calls: 2,
+                decisions: 5,
+                propagations: 40,
+                elapsed: Duration::from_micros(300),
+            },
             ..EngineStats::default()
         };
         s.sat_conflict_hist.record(0);
@@ -285,6 +304,21 @@ mod tests {
             Some(2)
         );
         assert_eq!(v.get("check_elapsed_us").and_then(Value::as_u64), Some(55));
+        let cex = v.get("sat_cex_work").expect("per-verdict work block");
+        for (key, want) in [
+            ("calls", 2),
+            ("decisions", 5),
+            ("propagations", 40),
+            ("elapsed_us", 300),
+        ] {
+            assert_eq!(cex.get(key).and_then(Value::as_u64), Some(want), "{key}");
+        }
+        assert_eq!(
+            v.get("sat_unsat_work")
+                .and_then(|w| w.get("calls"))
+                .and_then(Value::as_u64),
+            Some(0)
+        );
         let workers = v.get("workers").and_then(Value::as_array).unwrap();
         assert_eq!(workers.len(), 1);
         assert_eq!(

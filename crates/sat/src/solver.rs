@@ -173,6 +173,16 @@ pub struct Solver {
     empty_id: Option<ClauseId>,
     final_clause: Option<(Vec<Lit>, Option<ClauseId>)>,
     saved_model: Option<Vec<bool>>,
+    // Cone-complete solving (see [`Solver::solve_in_cone`]): the cone's
+    // variables are marked, and `cone_unassigned` counts the cone
+    // variables not assigned by `trail[..cone_scanned]`. Decision points
+    // advance the scan to the trail's end; `cancel_until` rewinds it.
+    // Counting off the trail keeps `enqueue`, the propagation hot path,
+    // as it is.
+    in_cone: Vec<bool>,
+    cone_unassigned: usize,
+    cone_scanned: usize,
+    cone_active: bool,
     stats: SolverStats,
     // Tracing (free when the recorder is disabled, the default):
     recorder: obs::Recorder,
@@ -232,6 +242,10 @@ impl Solver {
             empty_id: None,
             final_clause: None,
             saved_model: None,
+            in_cone: Vec::new(),
+            cone_unassigned: 0,
+            cone_scanned: 0,
+            cone_active: false,
             stats: SolverStats::default(),
             recorder: obs::Recorder::disabled(),
             recorder_tid: obs::TID_COORDINATOR,
@@ -312,6 +326,7 @@ impl Solver {
         self.activity.push(0.0);
         self.polarity.push(false);
         self.seen.push(false);
+        self.in_cone.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.mark_s.push(false);
@@ -670,6 +685,14 @@ impl Solver {
             return;
         }
         let bound = self.trail_lim[target as usize];
+        if self.cone_scanned > bound {
+            for l in &self.trail[bound..self.cone_scanned] {
+                if self.in_cone[l.var().as_usize()] {
+                    self.cone_unassigned += 1;
+                }
+            }
+            self.cone_scanned = bound;
+        }
         for idx in (bound..self.trail.len()).rev() {
             let l = self.trail[idx];
             let v = l.var();
@@ -1005,6 +1028,70 @@ impl Solver {
         self.saved_model.as_deref()
     }
 
+    /// Solves under `assumptions`, answering `Sat` as soon as every
+    /// variable of `cone` is assigned without conflict at a decision
+    /// point. The saved model is then *cone-complete*: cone variables
+    /// hold the values of the search, variables outside the cone that the
+    /// search never assigned read `false`. Decisions still follow the
+    /// usual VSIDS order over all variables, and a call that ends `Unsat`
+    /// or `Unknown` never completed its cone, so it searched exactly as
+    /// [`Solver::solve_with`] would have and logged the same proof.
+    ///
+    /// Meant for cones closed under a clause structure, such as the
+    /// transitive fan-in of circuit nodes under their Tseitin clauses: a
+    /// conflict-free assignment of every cone variable then satisfies all
+    /// clauses over the cone, and its values are determined by the
+    /// cone's free variables alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assumption or cone variable has not been allocated.
+    /// Assumption variables must lie in `cone`: for one outside it, a
+    /// `Sat` answer does not show the formula satisfiable under it.
+    pub fn solve_in_cone(&mut self, assumptions: &[Lit], cone: &[Var]) -> SolveResult {
+        self.cancel_until(0);
+        for &v in cone {
+            let v = v.as_usize();
+            if !self.in_cone[v] {
+                self.in_cone[v] = true;
+                if self.value[v] == UNDEF {
+                    self.cone_unassigned += 1;
+                }
+            }
+        }
+        self.cone_scanned = self.trail.len();
+        self.cone_active = true;
+        let result = self.solve_with(assumptions);
+        debug_assert_eq!(self.decision_level(), 0, "search returns at level 0");
+        for &v in cone {
+            self.in_cone[v.as_usize()] = false;
+        }
+        self.cone_unassigned = 0;
+        self.cone_scanned = 0;
+        self.cone_active = false;
+        result
+    }
+
+    /// Whether every cone variable is assigned: advances the cone scan
+    /// over the trail literals assigned since the last decision point.
+    fn cone_complete(&mut self) -> bool {
+        for &l in &self.trail[self.cone_scanned..] {
+            if self.in_cone[l.var().as_usize()] {
+                self.cone_unassigned -= 1;
+            }
+        }
+        self.cone_scanned = self.trail.len();
+        self.cone_unassigned == 0
+    }
+
+    /// Saves the current assignment as the model and returns `Sat`.
+    fn answer_sat(&mut self) -> SolveResult {
+        let model: Vec<bool> = self.value.iter().map(|&v| v == TRUE).collect();
+        self.saved_model = Some(model);
+        self.cancel_until(0);
+        SolveResult::Sat
+    }
+
     /// Solves the current formula without assumptions.
     pub fn solve(&mut self) -> SolveResult {
         self.solve_with(&[])
@@ -1083,6 +1170,14 @@ impl Solver {
                 self.cla_inc /= self.config.clause_decay;
             } else {
                 // No conflict.
+                if self.cone_active
+                    && self.decision_level() as usize >= assumptions.len()
+                    && self.cone_complete()
+                {
+                    // Every cone variable is assigned and every assumption
+                    // holds: the cone part of the assignment is a model.
+                    return self.answer_sat();
+                }
                 if let Some(limit) = self.conflict_budget {
                     if conflicts_this_call >= limit {
                         self.cancel_until(0);
@@ -1142,13 +1237,8 @@ impl Solver {
                         }
                     };
                     match next {
-                        None => {
-                            // All variables assigned: model found.
-                            let model: Vec<bool> = self.value.iter().map(|&v| v == TRUE).collect();
-                            self.saved_model = Some(model);
-                            self.cancel_until(0);
-                            return SolveResult::Sat;
-                        }
+                        // All variables assigned: model found.
+                        None => return self.answer_sat(),
                         Some(v) => {
                             self.stats.decisions += 1;
                             let l = v.lit(self.polarity[v.as_usize()]);
@@ -1554,5 +1644,156 @@ mod tests {
         s.add_clause(&lits(&v, &[1]));
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.model().unwrap().len(), 3);
+    }
+
+    /// The Tseitin clauses of a seeded random AND circuit over `inputs`
+    /// free variables and `gates` AND variables (gate `g` is variable
+    /// `inputs + g`, its fanins come from lower variables). Returns the
+    /// variables, the clauses, and each gate's fanin literals.
+    #[allow(clippy::type_complexity)]
+    fn random_circuit(
+        s: &mut Solver,
+        inputs: usize,
+        gates: usize,
+        seed: u64,
+    ) -> (Vec<Var>, Vec<Vec<Lit>>, Vec<(Lit, Lit)>) {
+        let v = vars(s, inputs + gates);
+        let mut state = seed;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let mut clauses = Vec::new();
+        let mut fanins = Vec::new();
+        for g in 0..gates {
+            let x = v[inputs + g].positive();
+            let below = inputs + g;
+            let a = v[next(below)].lit(next(2) == 1);
+            let b = v[next(below)].lit(next(2) == 1);
+            for c in [vec![!x, a], vec![!x, b], vec![x, !a, !b]] {
+                s.add_clause(&c);
+                clauses.push(c);
+            }
+            fanins.push((a, b));
+        }
+        (v, clauses, fanins)
+    }
+
+    /// Transitive fan-in of `roots` (variables) in a [`random_circuit`].
+    fn fanin_cone(inputs: usize, fanins: &[(Lit, Lit)], roots: &[Var]) -> Vec<Var> {
+        let mut seen = vec![false; inputs + fanins.len()];
+        let mut stack: Vec<Var> = roots.to_vec();
+        let mut cone = Vec::new();
+        while let Some(v) = stack.pop() {
+            if std::mem::replace(&mut seen[v.as_usize()], true) {
+                continue;
+            }
+            cone.push(v);
+            if let Some(&(a, b)) = v.as_usize().checked_sub(inputs).map(|g| &fanins[g]) {
+                stack.push(a.var());
+                stack.push(b.var());
+            }
+        }
+        cone
+    }
+
+    fn lit_true(model: &[bool], l: Lit) -> bool {
+        model[l.var().as_usize()] != l.is_negative()
+    }
+
+    #[test]
+    fn cone_complete_model_satisfies_every_cone_clause() {
+        let (inputs, gates) = (12, 60);
+        let mut cone_sat = 0;
+        for seed in 0..20 {
+            let mut s = Solver::new();
+            let (v, clauses, fanins) = random_circuit(&mut s, inputs, gates, seed);
+            let (x, y) = (v[inputs + gates - 1], v[inputs + gates - 7]);
+            let cone = fanin_cone(inputs, &fanins, &[x, y]);
+            let mut member = vec![false; v.len()];
+            for c in &cone {
+                member[c.as_usize()] = true;
+            }
+            let assumptions = [x.positive(), y.negative()];
+            if s.solve_in_cone(&assumptions, &cone) != SolveResult::Sat {
+                continue;
+            }
+            cone_sat += 1;
+            let model = s.model().unwrap().to_vec();
+            assert_eq!(model.len(), v.len());
+            assert!(assumptions.iter().all(|&a| lit_true(&model, a)));
+            for c in clauses
+                .iter()
+                .filter(|c| c.iter().all(|l| member[l.var().as_usize()]))
+            {
+                assert!(
+                    c.iter().any(|&l| lit_true(&model, l)),
+                    "seed {seed}: cone clause {c:?} falsified"
+                );
+            }
+            // A plain solve afterwards still assigns every variable.
+            assert_eq!(s.solve_with(&assumptions), SolveResult::Sat);
+            let full = s.model().unwrap();
+            assert_eq!(full.len(), v.len());
+            assert!(clauses.iter().all(|c| c.iter().any(|&l| lit_true(full, l))));
+        }
+        assert!(cone_sat >= 5, "only {cone_sat} satisfiable cone queries");
+    }
+
+    #[test]
+    fn cone_solve_unsat_matches_plain_solve() {
+        let (inputs, gates) = (10, 50);
+        for seed in 0..10 {
+            let mut plain = Solver::with_proof();
+            let mut coned = Solver::with_proof();
+            let (v, _, mut fanins) = random_circuit(&mut plain, inputs, gates, seed);
+            random_circuit(&mut coned, inputs, gates, seed);
+            // y ≡ x rebuilt through t ≡ b: y = a ∧ t, t = b ∧ b.
+            let x = v[inputs + gates - 1];
+            let (a, b) = fanins[gates - 1];
+            let mut add_and = |fa: Lit, fb: Lit| {
+                let g = plain.new_var();
+                coned.new_var();
+                for c in [
+                    vec![g.negative(), fa],
+                    vec![g.negative(), fb],
+                    vec![g.positive(), !fa, !fb],
+                ] {
+                    plain.add_clause(&c);
+                    coned.add_clause(&c);
+                }
+                fanins.push((fa, fb));
+                g
+            };
+            let t = add_and(b, b);
+            let y = add_and(a, t.positive());
+            let cone = fanin_cone(inputs, &fanins, &[x, y]);
+            for assumptions in [[x.positive(), y.negative()], [x.negative(), y.positive()]] {
+                assert_eq!(plain.solve_with(&assumptions), SolveResult::Unsat);
+                assert_eq!(coned.solve_in_cone(&assumptions, &cone), SolveResult::Unsat);
+                let (pc, pid) = plain.final_clause().unwrap();
+                let (cc, cid) = coned.final_clause().unwrap();
+                assert_eq!(pc, cc, "seed {seed}: final clauses differ");
+                assert_eq!(pid, cid);
+                assert_eq!(plain.stats(), coned.stats(), "seed {seed}: search differs");
+                plain.commit_final_clause();
+                coned.commit_final_clause();
+            }
+            let (pp, cp) = (plain.proof().unwrap(), coned.proof().unwrap());
+            proof::check::check_strict(cp).unwrap();
+            assert_eq!(pp.len(), cp.len());
+            // A satisfiable query against another gate agrees on the verdict.
+            let z = v[inputs + gates - 5];
+            let cone = fanin_cone(inputs, &fanins, &[x, z]);
+            for assumptions in [[x.positive(), z.negative()], [x.negative(), z.positive()]] {
+                let r = plain.solve_with(&assumptions);
+                assert_eq!(coned.solve_in_cone(&assumptions, &cone), r, "seed {seed}");
+                if r == SolveResult::Sat {
+                    break; // the searches diverge from here on
+                }
+            }
+        }
     }
 }
