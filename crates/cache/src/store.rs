@@ -67,6 +67,9 @@ pub struct CacheStats {
     pub replay_rejects: u64,
     /// Entries inserted (fresh proofs recorded).
     pub insertions: u64,
+    /// Evicted entries that could not be written to the spill dir (the
+    /// entry is lost; a later lookup misses and re-proves).
+    pub spill_errors: u64,
 }
 
 struct Entry {
@@ -93,6 +96,7 @@ pub struct CertCache {
     m_evictions: metrics::Counter,
     m_replay_rejects: metrics::Counter,
     m_insertions: metrics::Counter,
+    m_spill_errors: metrics::Counter,
     m_entries: metrics::Gauge,
 }
 
@@ -115,6 +119,7 @@ impl CertCache {
             m_evictions: metrics.counter("cec.cache.evictions"),
             m_replay_rejects: metrics.counter("cec.cache.replay_rejects"),
             m_insertions: metrics.counter("cec.cache.insertions"),
+            m_spill_errors: metrics.counter("cec.cache.spill_errors"),
             m_entries: metrics.gauge("cec.cache.entries"),
         })
     }
@@ -206,7 +211,10 @@ impl CertCache {
             return;
         };
         let entry = self.map.remove(&victim).expect("victim present");
-        self.write_spill(&victim, &entry.verdict);
+        if self.write_spill(&victim, &entry.verdict).is_err() {
+            self.stats.spill_errors += 1;
+            self.m_spill_errors.inc();
+        }
         self.stats.evictions += 1;
         self.m_evictions.inc();
     }
@@ -231,11 +239,17 @@ impl CertCache {
     /// Spill format: one header line (`eq` or `ne <pattern>`), then the
     /// tracecheck bytes for `eq`. Deliberately trivial — corruption is
     /// caught by replay validation, not by the format.
-    fn write_spill(&self, key: &str, verdict: &CachedVerdict) {
+    ///
+    /// Crash-consistent: the bytes go to `<key>.cert.tmp`, are synced,
+    /// and only then renamed over `<key>.cert` (the directory is synced
+    /// after the rename), so a crash leaves either the old file, the
+    /// complete new one, or a stray `.tmp` that lookups never read.
+    fn write_spill(&self, key: &str, verdict: &CachedVerdict) -> std::io::Result<()> {
         let Some(dir) = &self.config.spill_dir else {
-            return;
+            return Ok(());
         };
         let path = dir.join(format!("{key}.cert"));
+        let tmp = dir.join(format!("{key}.cert.tmp"));
         let bytes = match verdict {
             CachedVerdict::Equivalent { tracecheck } => {
                 let mut v = b"eq\n".to_vec();
@@ -249,9 +263,18 @@ impl CertCache {
                 v
             }
         };
-        // Spill failures are not errors: the disk tier is best-effort
-        // and a lost entry just means a future re-prove.
-        let _ = std::fs::File::create(&path).and_then(|mut f| f.write_all(&bytes));
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(&bytes)?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &path))
+            .and_then(|()| std::fs::File::open(dir)?.sync_all());
+        if written.is_err() {
+            // Best effort: a leftover temp file is never read anyway.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     fn read_spill(&self, key: &CacheKey) -> Option<CachedVerdict> {
@@ -465,6 +488,74 @@ mod tests {
         // Disk-tier hit, validated and promoted.
         assert_eq!(cache.lookup(&p1).as_ref(), Some(&v1));
         assert_eq!(cache.stats().hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn spill_config(dir: &std::path::Path) -> CacheConfig {
+        CacheConfig {
+            capacity: 1,
+            spill_dir: Some(dir.to_path_buf()),
+            share_structure: true,
+        }
+    }
+
+    #[test]
+    fn spill_write_failures_are_counted_and_lookups_miss_cleanly() {
+        let dir = std::env::temp_dir().join(format!("rcec-cache-spillerr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let metrics = Metrics::new();
+        let mut cache = CertCache::new(spill_config(&dir), &metrics).unwrap();
+        // The spill dir is replaced by a plain file: every write fails.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let p1 = CanonicalPair::new(&ripple_carry_adder(4), &kogge_stone_adder(4));
+        let p2 = CanonicalPair::new(&ripple_carry_adder(5), &kogge_stone_adder(5));
+        cache.insert(&p1, prove_verdict(&p1));
+        cache.insert(&p2, prove_verdict(&p2)); // evicts p1; the spill fails
+        cache.insert(&p1, prove_verdict(&p1)); // evicts p2; fails again
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.stats().spill_errors, 2);
+        assert_eq!(metrics.counter("cec.cache.spill_errors").get(), 2);
+        // The lost entry is a clean miss, not a reject or a panic.
+        assert_eq!(cache.lookup(&p2), None);
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().replay_rejects, 0);
+        assert!(
+            cache.lookup(&p1).is_some(),
+            "the in-memory entry still serves"
+        );
+        let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
+    fn stray_spill_temp_file_is_never_served() {
+        let dir = std::env::temp_dir().join(format!("rcec-cache-spilltmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = CertCache::new(spill_config(&dir), &Metrics::disabled()).unwrap();
+        let p1 = CanonicalPair::new(&ripple_carry_adder(4), &kogge_stone_adder(4));
+        let p2 = CanonicalPair::new(&ripple_carry_adder(5), &kogge_stone_adder(5));
+        cache.insert(&p1, prove_verdict(&p1));
+        cache.insert(&p2, prove_verdict(&p2)); // p1 spills to disk
+        assert_eq!(cache.stats().spill_errors, 0);
+        let cert = dir.join(format!("{}.cert", p1.key));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(
+            names,
+            vec![cert.file_name().unwrap().to_owned()],
+            "no temp file left"
+        );
+        // A crash between write and rename leaves only the complete,
+        // valid bytes under the temp name: they must not be served.
+        std::fs::rename(&cert, dir.join(format!("{}.cert.tmp", p1.key))).unwrap();
+        assert_eq!(cache.lookup(&p1), None);
+        assert_eq!(
+            cache.stats().replay_rejects,
+            0,
+            "the temp file is never read"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -35,7 +35,7 @@
 //! On startup the daemon prints `rcecd listening on ADDR` to stdout so
 //! scripts can scrape the resolved address. `--metrics-out` /
 //! `--metrics-status` attach background samplers to the live registry
-//! (cache hits/misses/evictions/replay rejects, serve
+//! (cache hits/misses/evictions/replay rejects/spill errors, serve
 //! connections/requests/checks, engine counters); the `metrics`
 //! protocol request returns the same snapshot on demand either way.
 //!

@@ -426,8 +426,10 @@ impl LogHistogram {
 
     /// An upper-bound estimate of quantile `q` (clamped to `0..=1`):
     /// the inclusive upper bound of the bucket containing the `⌈q·n⌉`-th
-    /// observation, with the recorded [`LogHistogram::max`] standing in
-    /// for the unbounded last bucket. `None` with no observations.
+    /// observation, capped at the recorded [`LogHistogram::max`] (which
+    /// also stands in for the unbounded last bucket). The estimate is
+    /// never below the true quantile, never above the maximum, and less
+    /// than twice the true quantile. `None` with no observations.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -439,7 +441,7 @@ impl LogHistogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return Some(Self::bucket_hi(i).unwrap_or(self.max));
+                return Some(Self::bucket_hi(i).map_or(self.max, |hi| hi.min(self.max)));
             }
         }
         Some(self.max)
@@ -587,6 +589,26 @@ mod tests {
                 LogHistogram::bucket_of(LogHistogram::bucket_hi(i).unwrap()),
                 i
             );
+        }
+    }
+
+    #[test]
+    fn quantile_never_exceeds_max() {
+        // The bucket of 43 079 µs is [32 768, 65 535]: unclamped, p95
+        // read 65 535 µs although no observation exceeded 43 079 µs.
+        let mut h = LogHistogram::default();
+        for _ in 0..90 {
+            h.record(1_000);
+        }
+        for _ in 0..10 {
+            h.record(43_079);
+        }
+        assert_eq!(h.quantile(0.95), Some(43_079));
+        assert_eq!(h.quantile(1.0), Some(43_079));
+        // Quantiles below the top bucket keep their bucket ceiling.
+        assert_eq!(h.quantile(0.5), Some(1_023));
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            assert!(h.quantile(q).unwrap() <= h.max());
         }
     }
 

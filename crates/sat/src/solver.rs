@@ -138,8 +138,10 @@ pub struct Solver {
     config: SolverConfig,
     db: ClauseDb,
     watches: Vec<Vec<Watcher>>,
+    // Per literal (indexed by `Lit::code`): UNDEF, TRUE or FALSE, set in
+    // `assign` and cleared in `cancel_until`.
+    lval: Vec<u8>,
     // Per variable:
-    value: Vec<u8>,
     reason: Vec<Option<ClauseRef>>,
     level: Vec<u32>,
     activity: Vec<f64>,
@@ -162,10 +164,17 @@ pub struct Solver {
     // Analysis scratch:
     analyze_stack: Vec<Lit>,
     analyze_toclear: Vec<Lit>,
-    // Chain-replay scratch (lit-indexed):
+    learnt_buf: Vec<Lit>,
+    // LBD counting: `level_stamp[l] == lbd_stamp` marks decision level
+    // `l` as already counted for the current learnt clause.
+    level_stamp: Vec<u64>,
+    lbd_stamp: u64,
+    // Chain-replay scratch (lit-indexed marks, reused buffers):
     mark_s: Vec<bool>,
     mark_l: Vec<bool>,
     chain_touched: Vec<Lit>,
+    chain_start: Vec<Lit>,
+    chain_ids: Vec<ClauseId>,
     // Proof and outcome:
     proof: Option<Proof>,
     conflict_budget: Option<u64>,
@@ -216,7 +225,7 @@ impl Solver {
             config,
             db: ClauseDb::new(),
             watches: Vec::new(),
-            value: Vec::new(),
+            lval: Vec::new(),
             reason: Vec::new(),
             level: Vec::new(),
             activity: Vec::new(),
@@ -233,9 +242,14 @@ impl Solver {
             learnt_export_cursor: 0,
             analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
+            learnt_buf: Vec::new(),
+            level_stamp: vec![0],
+            lbd_stamp: 0,
             mark_s: Vec::new(),
             mark_l: Vec::new(),
             chain_touched: Vec::new(),
+            chain_start: Vec::new(),
+            chain_ids: Vec::new(),
             proof,
             conflict_budget: None,
             unsat: false,
@@ -297,7 +311,7 @@ impl Solver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> u32 {
-        self.value.len() as u32
+        self.level.len() as u32
     }
 
     /// Number of live (non-deleted) clauses in the database.
@@ -319,8 +333,9 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.value.len() as u32);
-        self.value.push(UNDEF);
+        let v = Var::new(self.num_vars());
+        self.lval.push(UNDEF);
+        self.lval.push(UNDEF);
         self.reason.push(None);
         self.level.push(0);
         self.activity.push(0.0);
@@ -333,7 +348,8 @@ impl Solver {
         self.mark_s.push(false);
         self.mark_l.push(false);
         self.mark_l.push(false);
-        self.order.grow_to(self.value.len());
+        self.level_stamp.push(0);
+        self.order.grow_to(self.level.len());
         self.order.insert(v, &self.activity);
         v
     }
@@ -347,14 +363,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> u8 {
-        let v = self.value[l.var().as_usize()];
-        if v == UNDEF {
-            UNDEF
-        } else if (v == TRUE) != l.is_negative() {
-            TRUE
-        } else {
-            FALSE
-        }
+        self.lval[l.code() as usize]
     }
 
     #[inline]
@@ -498,7 +507,7 @@ impl Solver {
         let mut out = Vec::new();
         while self.learnt_export_cursor < self.db.len() && out.len() < max_count {
             let r = ClauseRef::new(self.learnt_export_cursor);
-            self.learnt_export_cursor += 1;
+            self.learnt_export_cursor = self.db.next(r);
             if self.db.is_deleted(r) || !self.db.is_learnt(r) {
                 continue;
             }
@@ -557,17 +566,15 @@ impl Solver {
         }
         let first = ls[0];
         let unit = ls.len() == 1 || self.lit_value(ls[1]) == FALSE;
-        let r = self.db.add(ls, learnt, id);
-        if self.db.lits(r).len() >= 2 {
+        let r = self.db.add(&ls, learnt, id);
+        if ls.len() >= 2 {
             self.attach(r);
         }
         if unit && self.lit_value(first) == UNDEF {
             let ok = self.enqueue(first, Some(r));
             debug_assert!(ok);
             if let Some(confl) = self.propagate() {
-                let lits: Vec<Lit> = self.db.lits(confl).to_vec();
-                let pid = self.db.proof_id(confl);
-                let chain_id = self.build_chain_from(&lits, pid, &[]);
+                let chain_id = self.build_chain_from_clause(confl, &[]);
                 self.unsat = true;
                 self.empty_id = chain_id;
             }
@@ -593,14 +600,21 @@ impl Solver {
             TRUE => true,
             FALSE => false,
             _ => {
-                let v = l.var().as_usize();
-                self.value[v] = if l.is_negative() { FALSE } else { TRUE };
-                self.level[v] = self.decision_level();
-                self.reason[v] = from;
-                self.trail.push(l);
+                self.assign(l, from);
                 true
             }
         }
+    }
+
+    /// Makes the unassigned literal `l` true at the current level.
+    #[inline]
+    fn assign(&mut self, l: Lit, from: Option<ClauseRef>) {
+        self.lval[l.code() as usize] = TRUE;
+        self.lval[(!l).code() as usize] = FALSE;
+        let v = l.var().as_usize();
+        self.level[v] = self.decision_level();
+        self.reason[v] = from;
+        self.trail.push(l);
     }
 
     fn propagate(&mut self) -> Option<ClauseRef> {
@@ -616,37 +630,34 @@ impl Solver {
             'watches: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker) == TRUE {
+                if self.lval[w.blocker.code() as usize] == TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                if self.db.is_deleted(w.clause) {
+                let Some(lits) = self.db.live_lits_mut(w.clause) else {
                     continue; // drop watcher of deleted clause
+                };
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                {
-                    let lits = self.db.lits_mut(w.clause);
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
-                }
-                let first = self.db.lits(w.clause)[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
                 let w2 = Watcher {
                     clause: w.clause,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first) == TRUE {
+                let first_value = self.lval[first.code() as usize];
+                if first != w.blocker && first_value == TRUE {
                     ws[j] = w2;
                     j += 1;
                     continue;
                 }
                 // Search for a replacement watch.
-                let len = self.db.lits(w.clause).len();
-                for k in 2..len {
-                    let lk = self.db.lits(w.clause)[k];
-                    if self.lit_value(lk) != FALSE {
-                        self.db.lits_mut(w.clause).swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.lval[lk.code() as usize] != FALSE {
+                        lits.swap(1, k);
                         self.watches[(!lk).code() as usize].push(w2);
                         continue 'watches;
                     }
@@ -654,7 +665,7 @@ impl Solver {
                 // Unit or conflicting.
                 ws[j] = w2;
                 j += 1;
-                if self.lit_value(first) == FALSE {
+                if first_value == FALSE {
                     conflict = Some(w.clause);
                     self.qhead = self.trail.len();
                     while i < ws.len() {
@@ -664,8 +675,8 @@ impl Solver {
                     }
                     break 'watches;
                 }
-                let ok = self.enqueue(first, Some(w.clause));
-                debug_assert!(ok);
+                debug_assert_eq!(first_value, UNDEF);
+                self.assign(first, Some(w.clause));
             }
             ws.truncate(j);
             self.watches[p.code() as usize] = ws;
@@ -696,7 +707,8 @@ impl Solver {
         for idx in (bound..self.trail.len()).rev() {
             let l = self.trail[idx];
             let v = l.var();
-            self.value[v.as_usize()] = UNDEF;
+            self.lval[l.code() as usize] = UNDEF;
+            self.lval[(!l).code() as usize] = UNDEF;
             self.polarity[v.as_usize()] = l.is_negative();
             self.order.insert(v, &self.activity);
         }
@@ -718,9 +730,12 @@ impl Solver {
 
     /// First-UIP conflict analysis with recursive minimization.
     /// Returns `(learnt, backtrack_level, lbd)`; `learnt[0]` is the
-    /// asserting literal.
+    /// asserting literal. The learnt vector is `learnt_buf`, taken out;
+    /// the caller hands it back.
     fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot for UIP
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // slot for UIP
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
         let mut clause = confl;
@@ -770,19 +785,16 @@ impl Solver {
         let abstract_levels = learnt[1..].iter().fold(0u32, |acc, l| {
             acc | 1 << (self.level[l.var().as_usize()] & 31)
         });
-        let mut keep = vec![true; learnt.len()];
-        for (i, &l) in learnt.iter().enumerate().skip(1) {
-            if self.reason[l.var().as_usize()].is_some() && self.lit_redundant(l, abstract_levels) {
-                keep[i] = false;
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reason[l.var().as_usize()].is_none() || !self.lit_redundant(l, abstract_levels)
+            {
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        let mut filtered = Vec::with_capacity(learnt.len());
-        for (i, &l) in learnt.iter().enumerate() {
-            if keep[i] {
-                filtered.push(l);
-            }
-        }
-        let mut learnt = filtered;
+        learnt.truncate(kept);
         for l in self.analyze_toclear.drain(..) {
             self.seen[l.var().as_usize()] = false;
         }
@@ -804,13 +816,15 @@ impl Solver {
         };
 
         // LBD: number of distinct decision levels.
-        let mut levels: Vec<u32> = learnt
-            .iter()
-            .map(|l| self.level[l.var().as_usize()])
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in &learnt {
+            let lv = self.level[l.var().as_usize()] as usize;
+            if self.level_stamp[lv] != self.lbd_stamp {
+                self.level_stamp[lv] = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
 
         (learnt, bt, lbd)
     }
@@ -821,9 +835,7 @@ impl Solver {
         let top = self.analyze_toclear.len();
         while let Some(q) = self.analyze_stack.pop() {
             let r = self.reason[q.var().as_usize()].expect("stacked literal has a reason");
-            let len = self.db.lits(r).len();
-            for k in 1..len {
-                let x = self.db.lits(r)[k];
+            for &x in &self.db.lits(r)[1..] {
                 let v = x.var();
                 if !self.seen[v.as_usize()] && self.level[v.as_usize()] > 0 {
                     if self.reason[v.as_usize()].is_some()
@@ -867,7 +879,9 @@ impl Solver {
         target: &[Lit],
     ) -> Option<ClauseId> {
         self.proof.as_ref()?;
-        let mut chain = vec![start_id.expect("proof id missing on start clause")];
+        let chain = &mut self.chain_ids;
+        chain.clear();
+        chain.push(start_id.expect("proof id missing on start clause"));
         debug_assert!(self.chain_touched.is_empty());
         for &l in target {
             self.mark_l[l.code() as usize] = true;
@@ -900,10 +914,9 @@ impl Solver {
             );
             self.mark_s[np.code() as usize] = false;
             remaining -= 1;
-            let len = self.db.lits(r).len();
-            debug_assert_eq!(self.db.lits(r)[0], p, "reason clause invariant");
-            for k in 1..len {
-                let q = self.db.lits(r)[k];
+            let reason = self.db.lits(r);
+            debug_assert_eq!(reason[0], p, "reason clause invariant");
+            for &q in &reason[1..] {
                 if !self.mark_s[q.code() as usize] {
                     self.mark_s[q.code() as usize] = true;
                     self.chain_touched.push(q);
@@ -921,9 +934,20 @@ impl Solver {
             self.mark_l[l.code() as usize] = false;
         }
         let p = self.proof.as_mut().expect("checked at entry");
-        let id = p.add_derived(target.iter().copied(), chain);
+        let id = p.add_derived(target.iter().copied(), chain.iter().copied());
         p.set_role(id, StepRole::Learned);
         Some(id)
+    }
+
+    /// [`Solver::build_chain_from`] starting at the database clause `r`.
+    fn build_chain_from_clause(&mut self, r: ClauseRef, target: &[Lit]) -> Option<ClauseId> {
+        self.proof.as_ref()?;
+        let mut start = std::mem::take(&mut self.chain_start);
+        start.clear();
+        start.extend_from_slice(self.db.lits(r));
+        let id = self.build_chain_from(&start, self.db.proof_id(r), target);
+        self.chain_start = start;
+        id
     }
 
     /// Computes the final conflict clause when assumption `failed` is
@@ -954,9 +978,7 @@ impl Solver {
                         }
                     }
                     Some(r) => {
-                        let len = self.db.lits(r).len();
-                        for k in 1..len {
-                            let q = self.db.lits(r)[k];
+                        for &q in &self.db.lits(r)[1..] {
                             if self.level[q.var().as_usize()] > 0 {
                                 self.seen[q.var().as_usize()] = true;
                             }
@@ -968,9 +990,7 @@ impl Solver {
         }
         out.sort_unstable();
         out.dedup();
-        let start: Vec<Lit> = self.db.lits(r0).to_vec();
-        let pid = self.db.proof_id(r0);
-        let id = self.build_chain_from(&start, pid, &out);
+        let id = self.build_chain_from_clause(r0, &out);
         if let Some(id) = id {
             self.tag_proof_step(id, StepRole::FinalConflict);
         }
@@ -1051,10 +1071,9 @@ impl Solver {
     pub fn solve_in_cone(&mut self, assumptions: &[Lit], cone: &[Var]) -> SolveResult {
         self.cancel_until(0);
         for &v in cone {
-            let v = v.as_usize();
-            if !self.in_cone[v] {
-                self.in_cone[v] = true;
-                if self.value[v] == UNDEF {
+            if !self.in_cone[v.as_usize()] {
+                self.in_cone[v.as_usize()] = true;
+                if self.lit_value(v.positive()) == UNDEF {
                     self.cone_unassigned += 1;
                 }
             }
@@ -1086,7 +1105,7 @@ impl Solver {
 
     /// Saves the current assignment as the model and returns `Sat`.
     fn answer_sat(&mut self) -> SolveResult {
-        let model: Vec<bool> = self.value.iter().map(|&v| v == TRUE).collect();
+        let model: Vec<bool> = self.lval.iter().step_by(2).map(|&v| v == TRUE).collect();
         self.saved_model = Some(model);
         self.cancel_until(0);
         SolveResult::Sat
@@ -1137,35 +1156,25 @@ impl Solver {
                 conflicts_since_restart += 1;
                 conflicts_this_call += 1;
                 if self.decision_level() == 0 {
-                    let lits: Vec<Lit> = self.db.lits(confl).to_vec();
-                    let pid = self.db.proof_id(confl);
-                    self.empty_id = self.build_chain_from(&lits, pid, &[]);
+                    self.empty_id = self.build_chain_from_clause(confl, &[]);
                     self.unsat = true;
                     self.final_clause = Some((Vec::new(), self.empty_id));
                     return SolveResult::Unsat;
                 }
                 let (learnt, bt, lbd) = self.analyze(confl);
                 // Record the derivation before unwinding the trail.
-                let start: Vec<Lit> = self.db.lits(confl).to_vec();
-                let pid = self.db.proof_id(confl);
-                let id = self.build_chain_from(&start, pid, &learnt);
+                let id = self.build_chain_from_clause(confl, &learnt);
                 self.cancel_until(bt);
                 self.stats.learnt += 1;
-                if learnt.len() == 1 {
-                    // Unit learnt clause: assert at level 0.
-                    let l = learnt[0];
-                    let r = self.db.add(learnt, true, id);
-                    self.db.set_lbd(r, lbd);
-                    let ok = self.enqueue(l, Some(r));
-                    debug_assert!(ok);
-                } else {
-                    let l0 = learnt[0];
-                    let r = self.db.add(learnt, true, id);
-                    self.db.set_lbd(r, lbd);
+                let r = self.db.add(&learnt, true, id);
+                self.db.set_lbd(r, lbd);
+                // A unit learnt clause is asserted at level 0, unwatched.
+                if learnt.len() > 1 {
                     self.attach(r);
-                    let ok = self.enqueue(l0, Some(r));
-                    debug_assert!(ok);
                 }
+                debug_assert_eq!(self.lit_value(learnt[0]), UNDEF);
+                self.assign(learnt[0], Some(r));
+                self.learnt_buf = learnt;
                 self.var_inc /= self.config.var_decay;
                 self.cla_inc /= self.config.clause_decay;
             } else {
@@ -1230,7 +1239,7 @@ impl Solver {
                         match self.order.pop(&self.activity) {
                             None => break None,
                             Some(v) => {
-                                if self.value[v.as_usize()] == UNDEF {
+                                if self.lit_value(v.positive()) == UNDEF {
                                     break Some(v);
                                 }
                             }
@@ -1276,6 +1285,9 @@ impl Solver {
             deleted += 1;
             self.stats.deleted += 1;
         }
+        if self.db.wants_compaction() {
+            self.compact_db();
+        }
         self.recorder.instant(
             "reduce_db",
             self.recorder_tid,
@@ -1284,6 +1296,27 @@ impl Solver {
                 ("learnt_live", obs::ArgVal::U64(self.db.num_learnt() as u64)),
             ],
         );
+    }
+
+    /// Compacts the clause arena and remaps every clause reference the
+    /// solver holds. Reasons of unassigned variables are stale and never
+    /// read; those pointing at deleted clauses are cleared. Watchers of
+    /// deleted clauses are dropped, as `propagate` would drop them.
+    fn compact_db(&mut self) {
+        let reloc = self.db.compact();
+        for r in &mut self.reason {
+            *r = r.and_then(|r| reloc.get(r));
+        }
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| match reloc.get(w.clause) {
+                Some(n) => {
+                    w.clause = n;
+                    true
+                }
+                None => false,
+            });
+        }
+        self.learnt_export_cursor = reloc.offset(self.learnt_export_cursor);
     }
 
     fn is_locked(&self, r: ClauseRef) -> bool {
@@ -1553,6 +1586,86 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats().deleted > 0, "reduction never fired");
         proof::check::check_refutation(s.proof().unwrap()).unwrap();
+    }
+
+    /// A proof-logging solver with a tiny learnt-clause limit, so that
+    /// reduction runs often; `compact` false never compacts the arena.
+    fn reducing_solver(compact: bool) -> Solver {
+        let mut s = Solver::with_config(SolverConfig {
+            proof_logging: true,
+            learnt_size_factor: 0.001,
+            learnt_size_inc: 1.01,
+            ..SolverConfig::default()
+        });
+        if !compact {
+            s.db.set_max_waste_percent(100);
+        }
+        s
+    }
+
+    fn proof_steps(p: &Proof) -> Vec<(Vec<Lit>, Vec<ClauseId>)> {
+        p.iter()
+            .map(|(_, st)| (st.clause.to_vec(), st.antecedents.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn arena_compaction_leaves_search_and_proof_unchanged() {
+        let mut compacting = reducing_solver(true);
+        let mut reference = reducing_solver(false);
+        pigeonhole(&mut compacting, 7, 6);
+        pigeonhole(&mut reference, 7, 6);
+        assert_eq!(compacting.solve(), SolveResult::Unsat);
+        assert_eq!(reference.solve(), SolveResult::Unsat);
+        assert!(
+            compacting.db.compactions() >= 3,
+            "only {} compactions",
+            compacting.db.compactions()
+        );
+        assert_eq!(reference.db.compactions(), 0);
+        assert!(compacting.db.len() < reference.db.len());
+        assert_eq!(compacting.stats(), reference.stats());
+        let (cp, rp) = (compacting.proof().unwrap(), reference.proof().unwrap());
+        assert_eq!(proof_steps(cp), proof_steps(rp));
+        proof::check::check_refutation(cp).unwrap();
+    }
+
+    #[test]
+    fn live_clauses_and_drained_learnts_survive_compaction() {
+        let mut compacting = reducing_solver(true);
+        let mut reference = reducing_solver(false);
+        pigeonhole(&mut compacting, 7, 6);
+        pigeonhole(&mut reference, 7, 6);
+        compacting.set_conflict_budget(Some(40));
+        reference.set_conflict_budget(Some(40));
+        let mut compactions_between_drains = 0;
+        loop {
+            let before = compacting.db.compactions();
+            let verdict = compacting.solve();
+            assert_eq!(reference.solve(), verdict);
+            if compacting.db.compactions() > before {
+                compactions_between_drains += 1;
+            }
+            let live = |s: &Solver| -> Vec<(Vec<Lit>, Option<ClauseId>)> {
+                s.live_clauses().map(|(ls, id)| (ls.to_vec(), id)).collect()
+            };
+            assert_eq!(live(&compacting), live(&reference));
+            // A small max_count leaves the cursor mid-arena.
+            assert_eq!(
+                compacting.drain_new_learnts(8, 5),
+                reference.drain_new_learnts(8, 5)
+            );
+            if verdict != SolveResult::Unknown {
+                assert_eq!(verdict, SolveResult::Unsat);
+                break;
+            }
+        }
+        assert!(
+            compactions_between_drains >= 2,
+            "only {compactions_between_drains} drain rounds saw a compaction"
+        );
+        assert_eq!(compacting.stats(), reference.stats());
+        proof::check::check_refutation(compacting.proof().unwrap()).unwrap();
     }
 
     #[test]

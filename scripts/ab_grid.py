@@ -11,12 +11,16 @@ calls, propagations per counterexample call, solver conflicts, sweep SAT
 calls and proof resolutions. Prints one JSON line per timed run, then a
 markdown table with the median wall time and its interquartile range.
 
+With --same-work the script is also a gate: it exits 1, naming the pair
+and the counter, when any work counter of --new differs from --base. A
+pure speed change (same search, same proof) must pass it.
+
     cargo build --release -p cec-tools
     cargo build --release -p aig --example gen_pair
     python3 scripts/ab_grid.py --base OLD/target/release/rcec \\
-        --new target/release/rcec --reps 5 --work target/ab-grid
+        --new target/release/rcec --reps 5 --work target/ab-grid [--same-work]
 
-The E3 table in EXPERIMENTS.md was produced this way.
+The E3 and E4 tables in EXPERIMENTS.md were produced this way.
 """
 
 import argparse
@@ -24,6 +28,7 @@ import json
 import os
 import statistics
 import subprocess
+import sys
 import time
 
 PAIRS = [
@@ -77,6 +82,11 @@ def main():
     ap.add_argument("--gen", default="target/release/examples/gen_pair")
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--work", default="target/ab-grid")
+    ap.add_argument(
+        "--same-work",
+        action="store_true",
+        help="exit 1 if any work counter differs between --base and --new",
+    )
     args = ap.parse_args()
     os.makedirs(args.work, exist_ok=True)
     builds = {"base": args.base, "new": args.new}
@@ -103,16 +113,29 @@ def main():
     print()
     print("| pair | build | median s | IQR s | cex calls | props/cex call | conflicts | SAT calls | resolutions |")
     print("|---|---|---:|---:|---:|---:|---:|---:|---:|")
+    diffs = []
     for name, a, b in names:
+        counters = {}
         for build in builds:
             wall = walls[(name, build)]
-            w = work(builds[build], a, b, args.work)
+            w = counters[build] = work(builds[build], a, b, args.work)
             print(
                 f"| {name} | {build} | {statistics.median(wall):.3f} "
                 f"| {quantile(wall, 0.75) - quantile(wall, 0.25):.3f} "
                 f"| {w['sat_cex']} | {w['props_per_cex']:.0f} | {w['conflicts']} "
                 f"| {w['sat_calls']} | {w['resolutions']} |"
             )
+        for counter, base in counters["base"].items():
+            if counters["new"][counter] != base:
+                diffs.append((name, counter, base, counters["new"][counter]))
+
+    if args.same_work:
+        print()
+        for name, counter, base, new in diffs:
+            print(f"work differs: {name} {counter}: base {base}, new {new}")
+        if diffs:
+            sys.exit(1)
+        print(f"same work: all counters equal on {len(names)} pairs")
 
 
 if __name__ == "__main__":
