@@ -29,7 +29,7 @@
 //!
 //! `snapshot` is the `bench-v1`-compatible path `scripts/
 //! bench_snapshot.sh` now delegates to: the t7 mixed-hardness zoo,
-//! every pair × {static, adaptive} × {1, 4} threads, run in-process
+//! every pair × {1, 4} threads of the static engine, run in-process
 //! with the host census taken from `std::thread::available_parallelism`
 //! (the old Python fold-up recorded the sandboxed interpreter's
 //! `os.cpu_count()`, which is how the seeded snapshot came to claim

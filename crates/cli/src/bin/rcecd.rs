@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N]
-//!       [--engine=static|adaptive] [--no-share-learnts]
+//!       [--no-share-learnts]
 //!       [--cache-capacity=N] [--cache-dir=PATH]
 //!       [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]]
 //!       [--quiet]
@@ -18,11 +18,12 @@
 //!
 //! Each of the `--workers` pool threads runs one engine session at a
 //! time; `--threads` sets how many sweeping threads each session may
-//! use, and `--engine` picks the dispatch schedule, exactly as in
-//! `rcec`. Learnt-clause sharing between sweeping workers defaults
-//! **on** in the daemon (it optimizes for throughput; every imported
-//! clause is still re-derived into the checked proof) — pin the
-//! single-run byte layout with `--no-share-learnts`.
+//! use, exactly as in `rcec`. Learnt-clause sharing between sweeping
+//! workers defaults **on** in the daemon (it optimizes for throughput;
+//! every imported clause is still re-derived into the checked proof) —
+//! pin the single-run byte layout with `--no-share-learnts`. A request
+//! line longer than 16 MiB is answered with an error and its connection
+//! closed.
 //!
 //! The certificate cache keys queries by a *structural* canonical form:
 //! any renaming of the same netlist pair hits the same entry, and every
@@ -48,7 +49,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N] \
-     [--engine=static|adaptive] [--no-share-learnts] \
+     [--no-share-learnts] \
      [--cache-capacity=N] [--cache-dir=PATH] \
      [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]] [--quiet]";
 
@@ -69,7 +70,6 @@ fn run() -> Result<i32, String> {
             "addr",
             "workers",
             "threads",
-            "engine",
             "no-share-learnts",
             "cache-capacity",
             "cache-dir",
@@ -110,13 +110,6 @@ fn run() -> Result<i32, String> {
             return Err("--threads: must be at least 1".into());
         }
         config.engine.threads = threads;
-    }
-    if let Some(v) = args.value("engine") {
-        config.engine.engine = match v {
-            "static" => cec::EngineSelect::Static,
-            "adaptive" => cec::EngineSelect::Adaptive,
-            other => return Err(format!("--engine: unknown engine '{other}'")),
-        };
     }
     if args.has("no-share-learnts") {
         config.engine.share_learnts = false;

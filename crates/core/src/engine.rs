@@ -27,7 +27,7 @@
 
 use crate::journal::Durable;
 use crate::miter::Miter;
-use crate::outcome::{CecError, DispatchStats, EngineStats, WorkerStats};
+use crate::outcome::{CecError, EngineStats, WorkerStats};
 use crate::session::{EngineConfig, SharedContext};
 use crate::sim::SimClasses;
 use aig::{Aig, NodeId};
@@ -40,27 +40,6 @@ use proof::{ClauseId, StepRole};
 use sat::{SolveResult, Solver};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-
-/// Which discharge-scheduling policy the sweeping engine uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineSelect {
-    /// One engine for every candidate pair: SAT, budgeted uniformly by
-    /// [`EngineConfig::pair_conflict_limit`] (or not at all).
-    #[default]
-    Static,
-    /// Per-pair dispatch from static hardness analysis plus the
-    /// observed conflict histogram: easy small-support pairs get a
-    /// cone-bounded BDD probe first (a refutation refines the classes
-    /// with no SAT call; a confirmation unlocks an unbudgeted lemma
-    /// extraction), every SAT call gets a conflict budget scaled by the
-    /// pair's static score, and over-budget pairs are *deferred* to an
-    /// end-of-round hard queue and retried unbudgeted after the main
-    /// sweep instead of stalling a worker. Verdicts and proof
-    /// certification are identical to [`EngineSelect::Static`]: merges
-    /// only ever come from SAT-derived lemmas, and the final miter
-    /// solve is unbudgeted either way.
-    Adaptive,
-}
 
 /// Functionally reduces a circuit by SAT sweeping (FRAIG): nodes proven
 /// equivalent (up to complement) are merged onto one representative and
@@ -233,7 +212,7 @@ const SHARE_LEARNT_MAX_PER_ROUND: usize = 32;
 struct WorkerJob {
     state: WorkerState,
     delta: std::sync::Arc<[FeedClause]>,
-    shard: Vec<(usize, NodeId, Lit, Dispatch)>,
+    shard: Vec<(usize, NodeId, Lit)>,
 }
 
 /// What a worker thread sends back after a round.
@@ -243,9 +222,9 @@ struct WorkerReport {
     /// pair list.
     results: Vec<(usize, PairVerdict)>,
     stats: WorkerStats,
-    /// Budget and BDD-probe counters of this round, plus this round's
-    /// learnt import count.
-    dispatch: DispatchStats,
+    /// Shared learnt clauses the worker imported from the feed this
+    /// round.
+    learnts_imported: u64,
     /// Learnt clauses drained from the worker's solver this round for
     /// cross-worker sharing, as `(literals, local proof id)`. Empty
     /// unless [`EngineConfig::share_learnts`] is on.
@@ -256,8 +235,8 @@ struct WorkerReport {
 /// thread id, recorder and live counters. It is the only code that
 /// discharges a candidate pair — the sequential sweep owns one over the
 /// global clause database, every parallel-sweep worker owns one over its
-/// private copy — and does so in one way: optional BDD probe and
-/// per-pair conflict budget, two assumption-based SAT calls that stop as
+/// private copy — and does so in one way: two assumption-based SAT calls
+/// under the uniform [`EngineConfig::pair_conflict_limit`] that stop as
 /// soon as the pair's fan-in cone is decided, each proven direction
 /// committed as a canonical lemma, and on SAT 64 input patterns around
 /// the model. Its counters accumulate in a tally the owner takes.
@@ -276,92 +255,56 @@ pub(crate) struct Discharger {
     /// Live per-commit lemma counter (workers only; the sweep counts
     /// lemmas per merge).
     m_lemmas: metrics::Counter,
-    m_bdd_calls: metrics::Counter,
     /// Discharge counters since the last [`Discharger::take_tally`].
     tally: WorkerStats,
-    dispatch: DispatchStats,
 }
 
 impl Discharger {
-    /// The sequential sweep's discharger over the global `solver`; trace
-    /// events go to the coordinator thread id.
-    fn coordinator(solver: Solver, proof: bool, ctx: &SharedContext) -> Self {
+    /// The sequential sweep's discharger over the global `solver`,
+    /// budgeted by `config`'s pair conflict limit; trace events go to the
+    /// coordinator thread id.
+    fn coordinator(mut solver: Solver, config: &EngineConfig, ctx: &SharedContext) -> Self {
+        solver.set_conflict_budget(config.pair_conflict_limit);
         let m = &ctx.metrics;
         Discharger {
             solver,
-            proof,
+            proof: config.proof,
             cone: Cone::default(),
             recorder: ctx.recorder.clone(),
             tid: TID_COORDINATOR,
             m_sat_calls: m.counter("cec.sat_calls"),
             m_conflicts: m.counter("cec.conflicts"),
             m_lemmas: metrics::Counter::default(),
-            m_bdd_calls: m.counter("cec.dispatch.bdd_calls"),
             tally: WorkerStats::default(),
-            dispatch: DispatchStats::default(),
         }
     }
 
     /// Parallel-sweep worker `w`'s discharger over a fresh private solver
-    /// with `num_vars` variables, whose restart / reduce-DB events are
-    /// traced on the worker's thread id.
-    fn worker(w: usize, proof: bool, num_vars: u32, ctx: &SharedContext) -> Self {
-        let mut solver = new_solver(proof);
+    /// with `num_vars` variables, budgeted like the coordinator's, whose
+    /// restart / reduce-DB events are traced on the worker's thread id.
+    fn worker(w: usize, config: &EngineConfig, num_vars: u32, ctx: &SharedContext) -> Self {
+        let mut solver = new_solver(config.proof);
         solver.ensure_vars(num_vars);
+        solver.set_conflict_budget(config.pair_conflict_limit);
         let tid = worker_tid(w);
         solver.set_recorder(ctx.recorder.clone(), tid);
         let m = &ctx.metrics;
         Discharger {
             solver,
-            proof,
+            proof: config.proof,
             cone: Cone::default(),
             recorder: ctx.recorder.clone(),
             tid,
             m_sat_calls: m.counter(&format!("cec.worker{w}.sat_calls")),
             m_conflicts: m.counter(&format!("cec.worker{w}.conflicts")),
             m_lemmas: m.counter(&format!("cec.worker{w}.lemmas")),
-            m_bdd_calls: m.counter("cec.dispatch.bdd_calls"),
             tally: WorkerStats::default(),
-            dispatch: DispatchStats::default(),
         }
     }
 
     /// Hands over (and resets) the counters accumulated so far.
-    fn take_tally(&mut self) -> (WorkerStats, DispatchStats) {
-        (
-            std::mem::take(&mut self.tally),
-            std::mem::take(&mut self.dispatch),
-        )
-    }
-
-    /// Discharges one candidate pair as routed: optional BDD probe,
-    /// per-pair conflict budget, then the two-call SAT proof.
-    fn discharge(&mut self, graph: &Aig, n: NodeId, target: Lit, d: Dispatch) -> PairVerdict {
-        let budget = if d.try_bdd {
-            self.dispatch.bdd_calls += 1;
-            self.m_bdd_calls.inc();
-            match bdd_probe(graph, n, target, BDD_PROBE_NODE_LIMIT) {
-                BddProbe::Refuted(words) => {
-                    self.dispatch.bdd_refuted += 1;
-                    return PairVerdict::Refuted(words);
-                }
-                BddProbe::Confirmed => {
-                    // The pair is equivalent; run the lemma extraction
-                    // unbudgeted so the confirmation cannot be wasted.
-                    self.dispatch.bdd_confirmed += 1;
-                    None
-                }
-                BddProbe::Inconclusive => {
-                    self.dispatch.bdd_overflow += 1;
-                    d.budget
-                }
-            }
-        } else {
-            d.budget
-        };
-        record_budget(&mut self.dispatch, budget);
-        self.solver.set_conflict_budget(budget);
-        self.prove(graph, n, target)
+    fn take_tally(&mut self) -> WorkerStats {
+        std::mem::take(&mut self.tally)
     }
 
     /// Attempts to prove `v_n ≡ target` with two incremental SAT calls
@@ -604,7 +547,7 @@ impl WorkerState {
         me: usize,
         graph: &Aig,
         delta: &[FeedClause],
-        shard: &[(usize, NodeId, Lit, Dispatch)],
+        shard: &[(usize, NodeId, Lit)],
     ) -> WorkerReport {
         let start = Instant::now();
         let mut span = self.sat.recorder.span("worker_round", self.sat.tid);
@@ -614,7 +557,7 @@ impl WorkerState {
         let learnts_imported = self.sync(me, delta);
         let results = shard
             .iter()
-            .map(|&(pair_idx, n, target, d)| (pair_idx, self.sat.discharge(graph, n, target, d)))
+            .map(|&(pair_idx, n, target)| (pair_idx, self.sat.prove(graph, n, target)))
             .collect();
         // Offer this round's freshly learnt clauses for cross-worker
         // sharing. The drain cursor is monotone, so a clause is only
@@ -627,8 +570,7 @@ impl WorkerState {
         } else {
             Vec::new()
         };
-        let (mut stats, mut dispatch) = self.sat.take_tally();
-        dispatch.learnts_imported = learnts_imported;
+        let mut stats = self.sat.take_tally();
         stats.conflicts = self.sat.solver.stats().conflicts - conflicts_before;
         stats.elapsed = start.elapsed();
         drop(span);
@@ -636,170 +578,9 @@ impl WorkerState {
             state: self,
             results,
             stats,
-            dispatch,
+            learnts_imported,
             learnts,
         }
-    }
-}
-
-/// How one candidate pair is to be discharged, decided by the
-/// coordinator (the [`AdaptivePolicy`] in adaptive mode, a constant in
-/// static mode) and shipped to workers alongside the pair.
-#[derive(Clone, Copy, Debug)]
-struct Dispatch {
-    /// Conflict budget for this pair's SAT calls (`None` = unbudgeted).
-    budget: Option<u64>,
-    /// Try a cone-bounded BDD probe before SAT.
-    try_bdd: bool,
-}
-
-impl Dispatch {
-    /// Static-mode dispatch: uniform budget, SAT only.
-    fn fixed(budget: Option<u64>) -> Dispatch {
-        Dispatch {
-            budget,
-            try_bdd: false,
-        }
-    }
-}
-
-/// Node limit of a per-pair BDD probe. Probes are gated to small
-/// supports, so this is generous; an overflow just falls back to SAT.
-const BDD_PROBE_NODE_LIMIT: usize = 20_000;
-
-/// Outcome of a cone-bounded BDD probe of one candidate pair.
-enum BddProbe {
-    /// The cones differ; this full-input pattern distinguishes them, as
-    /// one word per input with all 64 bits equal. Sound to refine the
-    /// classes with — no proof obligation, since refinements never enter
-    /// the proof.
-    Refuted(Vec<u64>),
-    /// The cones are extensionally equal. Advisory only: the merge
-    /// lemma still comes from SAT so the proof stays self-contained.
-    Confirmed,
-    /// Node limit exceeded; decide by SAT.
-    Inconclusive,
-}
-
-/// Probes `v_n ≡ target` by building both cones' BDDs under the natural
-/// cone-input order.
-fn bdd_probe(graph: &Aig, n: NodeId, target: Lit, node_limit: usize) -> BddProbe {
-    let t_lit = NodeId::new(target.var().index()).lit(target.is_negative());
-    let (cone, input_map) = graph.extract_cone(&[n.pos(), t_lit]);
-    let mut mgr = bdd::Manager::new(node_limit);
-    let Ok(outs) = mgr.from_aig(&cone, &bdd::natural_ordering(cone.num_inputs())) else {
-        return BddProbe::Inconclusive;
-    };
-    let (f, g) = (outs[0], outs[1]);
-    if f == g {
-        return BddProbe::Confirmed;
-    }
-    let Ok(diff) = mgr.xor(f, g) else {
-        return BddProbe::Inconclusive;
-    };
-    let Some(assign) = mgr.one_sat(diff) else {
-        // XOR reduced to FALSE: equal after all (distinct refs can only
-        // disagree here if reduction was cut short, which xor() was not).
-        return BddProbe::Confirmed;
-    };
-    // Map the cone assignment back onto the full input vector. Cone
-    // input k is the k-th used original input in ascending order, and
-    // the natural ordering makes BDD level == cone input index.
-    let cone_inputs: Vec<usize> = input_map
-        .iter()
-        .enumerate()
-        .filter_map(|(orig, l)| l.map(|_| orig))
-        .collect();
-    let mut words = vec![0; graph.num_inputs()];
-    for (level, value) in assign {
-        words[cone_inputs[level as usize]] = if value { !0 } else { 0 };
-    }
-    BddProbe::Refuted(words)
-}
-
-/// The adaptive scheduler: static per-node hardness signals computed
-/// once per miter, combined with the engine's live conflict histogram
-/// to route each candidate pair and size its budget. All inputs are
-/// deterministic (structural features and conflict *counts*, never
-/// wall-clock), so adaptive runs are as reproducible as static ones.
-struct AdaptivePolicy {
-    scores: analysis::NodeScores,
-    /// Explicit user budget; caps adaptive budgets and bounds retries.
-    user_limit: Option<u64>,
-}
-
-impl AdaptivePolicy {
-    /// Budget floor: below this, budgeted and unbudgeted SAT behave
-    /// identically on trivial pairs and the budget is pure overhead.
-    const MIN_BUDGET: u64 = 256;
-    /// Support-size gate for BDD probes.
-    const BDD_SUPPORT_CAP: u32 = 24;
-    /// Observed-cost gate for BDD probes: a probe costs on the order of
-    /// a millisecond, so it only pays when the p95 SAT call is burning
-    /// real conflicts. Below this, SAT alone is already faster.
-    const BDD_CONFLICT_FLOOR: u64 = 128;
-
-    fn new(graph: &Aig, user_limit: Option<u64>) -> (AdaptivePolicy, f64) {
-        let score = analysis::HardnessReport::of_aig(graph).score;
-        (
-            AdaptivePolicy {
-                scores: analysis::NodeScores::compute(graph),
-                user_limit,
-            },
-            score,
-        )
-    }
-
-    /// Routes one candidate pair given the conflicts observed so far.
-    fn dispatch(&self, n: NodeId, root: NodeId, hist: &obs::LogHistogram) -> Dispatch {
-        let score = self.scores.pair_score(n, root);
-        // Scale the budget window to what sweeping calls have actually
-        // cost so far (p95 of the conflict histogram), then spread it
-        // by the pair's static score: easy pairs get cut off early and
-        // deferred, hard pairs get room before joining the hard queue.
-        let p95 = hist.quantile(0.95);
-        let try_bdd = score <= 0.35
-            && p95.is_some_and(|c| c >= Self::BDD_CONFLICT_FLOOR)
-            && self
-                .scores
-                .pair_support(n, root)
-                .is_some_and(|s| s <= Self::BDD_SUPPORT_CAP);
-        let base = p95.unwrap_or(64).max(32).saturating_mul(8);
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_sign_loss,
-            clippy::cast_possible_truncation
-        )]
-        let budget = ((base as f64) * (0.25 + 1.75 * score)).ceil() as u64;
-        let budget = budget.max(Self::MIN_BUDGET);
-        let budget = self.user_limit.map_or(budget, |l| budget.min(l));
-        Dispatch {
-            budget: Some(budget),
-            try_bdd,
-        }
-    }
-
-    /// Dispatch for a hard-queue retry: unbudgeted, unless the user set
-    /// an explicit pair limit (which then still bounds the retry).
-    fn retry_dispatch(&self) -> Dispatch {
-        Dispatch {
-            budget: self.user_limit,
-            try_bdd: false,
-        }
-    }
-}
-
-/// Records an issued budget into the dispatch stats' observed range.
-fn record_budget(ds: &mut DispatchStats, budget: Option<u64>) {
-    match budget {
-        Some(b) => {
-            ds.sat_budgeted += 1;
-            if ds.budget_min == 0 || b < ds.budget_min {
-                ds.budget_min = b;
-            }
-            ds.budget_max = ds.budget_max.max(b);
-        }
-        None => ds.sat_unbudgeted += 1,
     }
 }
 
@@ -824,14 +605,10 @@ struct SweepMetrics {
     structural_merges: metrics::Counter,
     refinements: metrics::Counter,
     rounds: metrics::Counter,
-    deferred: metrics::Counter,
-    retried: metrics::Counter,
     /// Learnt clauses exported to the feed for cross-worker sharing.
     learnts_shared: metrics::Counter,
     /// Live candidate pairs remaining in the simulation classes.
     queue_candidates: metrics::Gauge,
-    /// Budget-exhausted pairs parked in the adaptive hard queue.
-    queue_hard: metrics::Gauge,
 }
 
 impl SweepMetrics {
@@ -843,11 +620,8 @@ impl SweepMetrics {
             structural_merges: m.counter("cec.structural_merges"),
             refinements: m.counter("cec.refinements"),
             rounds: m.counter("cec.rounds"),
-            deferred: m.counter("cec.dispatch.deferred"),
-            retried: m.counter("cec.dispatch.retried"),
             learnts_shared: m.counter("cec.learnts_shared"),
             queue_candidates: m.gauge("cec.queue.candidates"),
-            queue_hard: m.gauge("cec.queue.hard"),
         }
     }
 }
@@ -915,7 +689,7 @@ impl<'g> Sweep<'g> {
             graph,
             config,
             ctx,
-            sat: Discharger::coordinator(solver, config.proof, ctx),
+            sat: Discharger::coordinator(solver, config, ctx),
             and_defs,
             rep: vec![None; graph.len()],
             struct_table: HashMap::new(),
@@ -1055,51 +829,29 @@ impl<'g> Sweep<'g> {
         )
     }
 
-    /// Builds the adaptive policy (and seeds [`EngineStats::dispatch`]
-    /// with the whole-instance hardness score) when adaptive mode is
-    /// selected; `None` in static mode.
-    fn adaptive_policy(&mut self) -> Option<AdaptivePolicy> {
-        if self.config.engine != EngineSelect::Adaptive {
-            return None;
-        }
-        let analysis_start = Instant::now();
-        let (policy, score) = AdaptivePolicy::new(self.graph, self.config.pair_conflict_limit);
-        self.stats.dispatch = Some(DispatchStats {
-            score,
-            ..DispatchStats::default()
-        });
-        self.ctx.recorder.complete(
-            "analysis",
-            TID_COORDINATOR,
-            analysis_start,
-            analysis_start.elapsed(),
-        );
-        Some(policy)
-    }
-
     /// The sweeping phase: the sequential sweep with one thread, the
     /// round-based parallel sweep with more, timed into
     /// [`PhaseTimes::sweep`](crate::outcome::PhaseTimes::sweep) and traced
-    /// as the `sweep` span. A no-op when sweeping is off. Leaves the
-    /// global solver unbudgeted for the final miter solve.
+    /// as the `sweep` span. A no-op when sweeping is off. Either way it
+    /// leaves the global solver unbudgeted for the final miter solve.
     pub(crate) fn sweep(&mut self, durable: &mut Durable) -> Result<(), CecError> {
-        if !self.config.sweep {
-            return Ok(());
-        }
-        let start = Instant::now();
-        if self.config.threads > 1 {
-            self.run_parallel(durable)?;
-        } else {
-            self.run(durable)?;
+        if self.config.sweep {
+            let start = Instant::now();
+            if self.config.threads > 1 {
+                self.run_parallel(durable)?;
+            } else {
+                self.run(durable)?;
+            }
+            let elapsed = start.elapsed();
+            self.ctx
+                .recorder
+                .complete("sweep", TID_COORDINATOR, start, elapsed);
+            // Simulation was timed inside the sweep; keep the phases
+            // disjoint.
+            self.stats.phases.sweep = elapsed.saturating_sub(self.stats.phases.sim);
         }
         // Pair budgets must not bind the final miter solve.
         self.sat.solver.set_conflict_budget(None);
-        let elapsed = start.elapsed();
-        self.ctx
-            .recorder
-            .complete("sweep", TID_COORDINATOR, start, elapsed);
-        // Simulation was timed inside the sweep; keep the phases disjoint.
-        self.stats.phases.sweep = elapsed.saturating_sub(self.stats.phases.sim);
         Ok(())
     }
 
@@ -1122,10 +874,8 @@ impl<'g> Sweep<'g> {
         self.metrics.lemmas.add(2);
     }
 
-    /// Folds a discharger's tally into the engine-wide counters (the
-    /// dispatch block only exists when adaptive scheduling or learnt
-    /// sharing asked for it).
-    fn absorb(&mut self, tally: &WorkerStats, dispatch: &DispatchStats) {
+    /// Folds a discharger's tally into the engine-wide counters.
+    fn absorb(&mut self, tally: &WorkerStats) {
         self.stats.sat_calls += tally.sat_calls;
         self.stats.sat_unsat += tally.sat_unsat;
         self.stats.sat_cex += tally.sat_cex;
@@ -1133,9 +883,6 @@ impl<'g> Sweep<'g> {
         self.stats.sat_unsat_work.add(&tally.sat_unsat_work);
         self.stats.sat_conflict_hist.merge(&tally.conflict_hist);
         self.stats.lemma_chain_hist.merge(&tally.lemma_chain_hist);
-        if let Some(ds) = self.stats.dispatch.as_mut() {
-            ds.absorb(dispatch);
-        }
     }
 
     /// The classical sequential sweep: one topological pass discharging
@@ -1143,10 +890,6 @@ impl<'g> Sweep<'g> {
     fn run(&mut self, durable: &mut Durable) -> Result<(), CecError> {
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
-        let policy = self.adaptive_policy();
-        // Adaptive hard queue: `(node, root, phase)` pairs whose budget
-        // ran out, retried after the main sweep instead of being lost.
-        let mut deferred: Vec<(NodeId, NodeId, bool)> = Vec::new();
         let watch_queues = self.ctx.metrics.is_enabled();
         if watch_queues {
             #[allow(clippy::cast_possible_wrap)]
@@ -1179,11 +922,7 @@ impl<'g> Sweep<'g> {
                 debug_assert!(root < n, "roots precede the node being processed");
                 let phase = pm ^ compl;
                 let target = Var::new(root.index()).lit(phase);
-                let dispatch = policy.as_ref().map_or_else(
-                    || Dispatch::fixed(self.config.pair_conflict_limit),
-                    |p| p.dispatch(n, root, &self.sat.tally.conflict_hist),
-                );
-                match self.sat.discharge(self.graph, n, target, dispatch) {
+                match self.sat.prove(self.graph, n, target) {
                     PairVerdict::Proved { fwd, bwd } => {
                         self.link(n, root, phase, fwd, bwd);
                         classes.remove(n);
@@ -1202,16 +941,8 @@ impl<'g> Sweep<'g> {
                     }
                     PairVerdict::Skipped => {
                         // Sound to leave the pair undecided: the final
-                        // miter solve does not depend on any merge. In
-                        // adaptive mode the pair gets one more shot.
-                        if let Some(ds) = self.stats.dispatch.as_mut() {
-                            ds.deferred += 1;
-                            self.metrics.deferred.inc();
-                            self.metrics.queue_hard.add(1);
-                            deferred.push((n, root, phase));
-                        } else {
-                            self.stats.pairs_skipped += 1;
-                        }
+                        // miter solve does not depend on any merge.
+                        self.stats.pairs_skipped += 1;
                         classes.remove(n);
                         break;
                     }
@@ -1220,33 +951,8 @@ impl<'g> Sweep<'g> {
             self.register_structure(n);
         }
 
-        // Hard-queue retries: every merge already committed feeds these
-        // solves as lemma clauses, so the retry usually finishes where
-        // the budgeted attempt could not.
-        if let Some(policy) = &policy {
-            let dispatch = policy.retry_dispatch();
-            for (n, root, phase) in deferred {
-                // The root may itself have merged since; re-resolve.
-                let (r, pm, _) = self.find(root);
-                let phase = pm ^ phase;
-                let target = Var::new(r.index()).lit(phase);
-                if let Some(ds) = self.stats.dispatch.as_mut() {
-                    ds.retried += 1;
-                    self.metrics.retried.inc();
-                    self.metrics.queue_hard.add(-1);
-                }
-                match self.sat.discharge(self.graph, n, target, dispatch) {
-                    PairVerdict::Proved { fwd, bwd } => self.link(n, r, phase, fwd, bwd),
-                    // Genuinely inequivalent; the node already left its
-                    // class, so there is nothing to refine.
-                    PairVerdict::Refuted(_) => self.record_refinement(n),
-                    // Only reachable under an explicit user limit.
-                    PairVerdict::Skipped => self.stats.pairs_skipped += 1,
-                }
-            }
-        }
-        let (tally, dispatch) = self.sat.take_tally();
-        self.absorb(&tally, &dispatch);
+        let tally = self.sat.take_tally();
+        self.absorb(&tally);
         self.sweep_checkpoint(durable)
     }
 
@@ -1293,16 +999,7 @@ impl<'g> Sweep<'g> {
         let num_vars = self.sat.solver.num_vars();
         let proof_mode = self.config.proof;
         let share_learnts = self.config.share_learnts;
-        let budget = self.config.pair_conflict_limit;
         let graph = self.graph;
-        let policy = self.adaptive_policy();
-        if share_learnts {
-            // Sharing counters live in the dispatch stats; make sure the
-            // block exists even in static mode.
-            self.stats
-                .dispatch
-                .get_or_insert_with(DispatchStats::default);
-        }
         // Canonical literal sets of learnt clauses already shared, so
         // the same clause (re-derived by several workers) enters the
         // feed only once.
@@ -1340,7 +1037,7 @@ impl<'g> Sweep<'g> {
         let mut states: Vec<Option<WorkerState>> = (0..threads)
             .map(|w| {
                 Some(WorkerState {
-                    sat: Discharger::worker(w, proof_mode, num_vars, self.ctx),
+                    sat: Discharger::worker(w, self.config, num_vars, self.ctx),
                     translation: Vec::new(),
                     share_learnts,
                 })
@@ -1369,10 +1066,6 @@ impl<'g> Sweep<'g> {
                 });
             }
 
-            // Adaptive hard queue: over-budget pairs wait here and are
-            // retried in dedicated rounds once the candidate classes
-            // run dry.
-            let mut deferred: Vec<(NodeId, NodeId, bool)> = Vec::new();
             loop {
                 // Phase 1: structural merges over a rebuilt table.
                 if self.config.structural_merging {
@@ -1417,22 +1110,6 @@ impl<'g> Sweep<'g> {
                         }
                     }
                 }
-                // Hard-queue retry rounds: once the classes run dry,
-                // deferred pairs go through the same round machinery,
-                // unbudgeted. Their stored roots may have merged since,
-                // so re-resolve them.
-                let retry_round = pairs.is_empty() && !deferred.is_empty();
-                if retry_round {
-                    let take = deferred.len().min(window.max(1));
-                    for (n, root, phase) in deferred.drain(..take) {
-                        let (r, pm, _) = self.find(root);
-                        pairs.push((n, r, pm ^ phase));
-                    }
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.retried += pairs.len() as u64;
-                        self.metrics.retried.add(pairs.len() as u64);
-                    }
-                }
                 if pairs.is_empty() {
                     break;
                 }
@@ -1445,35 +1122,20 @@ impl<'g> Sweep<'g> {
                     self.metrics
                         .queue_candidates
                         .set(classes.num_candidates() as i64);
-                    #[allow(clippy::cast_possible_wrap)]
-                    self.metrics.queue_hard.set(deferred.len() as i64);
                 }
                 self.stats.pair_windows.push(per_worker as u32);
                 let mut round_span = self.ctx.recorder.span("round", TID_COORDINATOR);
                 round_span.arg("round", self.stats.rounds);
                 round_span.arg("pairs", pairs.len());
 
-                // Route every pair before sharding so the decisions see
-                // one consistent conflict-histogram snapshot.
-                let dispatches: Vec<Dispatch> = pairs
-                    .iter()
-                    .map(|&(n, root, _)| match &policy {
-                        Some(p) if retry_round => p.retry_dispatch(),
-                        Some(p) => p.dispatch(n, root, &self.stats.sat_conflict_hist),
-                        None => Dispatch::fixed(budget),
-                    })
-                    .collect();
-
                 // Phase 3: discharge shards on the persistent workers.
                 let delta: std::sync::Arc<[FeedClause]> = feed[synced..].to_vec().into();
                 for (w, job_tx) in to_worker.iter().enumerate() {
-                    let shard: Vec<(usize, NodeId, Lit, Dispatch)> = pairs
+                    let shard: Vec<(usize, NodeId, Lit)> = pairs
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| i % threads == w)
-                        .map(|(i, &(n, root, phase))| {
-                            (i, n, Var::new(root.index()).lit(phase), dispatches[i])
-                        })
+                        .map(|(i, &(n, root, phase))| (i, n, Var::new(root.index()).lit(phase)))
                         .collect();
                     job_tx
                         .send(WorkerJob {
@@ -1497,13 +1159,14 @@ impl<'g> Sweep<'g> {
                         state,
                         results,
                         stats: round_stats,
-                        dispatch: wd,
+                        learnts_imported,
                         learnts,
                     } = report;
                     states[w] = Some(state);
                     round_conflicts.push(round_stats.conflicts);
                     self.stats.workers[w].add(&round_stats);
-                    self.absorb(&round_stats, &wd);
+                    self.absorb(&round_stats);
+                    self.stats.learnts_imported += learnts_imported;
                     // Workers tick only their own cec.worker{w}.* cells
                     // live; fold this round into the engine-wide
                     // aggregates so cec.sat_calls / cec.conflicts mean
@@ -1569,15 +1232,7 @@ impl<'g> Sweep<'g> {
                                 );
                             }
                             PairVerdict::Skipped => {
-                                if policy.is_some() && !retry_round {
-                                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                                        ds.deferred += 1;
-                                        self.metrics.deferred.inc();
-                                    }
-                                    deferred.push((n, root, phase));
-                                } else {
-                                    self.stats.pairs_skipped += 1;
-                                }
+                                self.stats.pairs_skipped += 1;
                                 classes.remove(n);
                             }
                         }
@@ -1586,8 +1241,7 @@ impl<'g> Sweep<'g> {
                     // derivations were already stitched above (the ids
                     // were merge roots), so the translated global step
                     // backs each clause in the global database and feed.
-                    if share_learnts && !learnts.is_empty() {
-                        let mut shared_now = 0u64;
+                    if share_learnts {
                         for (lits, local_id) in learnts {
                             let mut key = lits.clone();
                             key.sort_unstable();
@@ -1610,13 +1264,8 @@ impl<'g> Sweep<'g> {
                                 origin: Some(w),
                                 learnt: true,
                             });
-                            shared_now += 1;
-                        }
-                        if shared_now > 0 {
-                            if let Some(ds) = self.stats.dispatch.as_mut() {
-                                ds.learnts_shared += shared_now;
-                            }
-                            self.metrics.learnts_shared.add(shared_now);
+                            self.stats.learnts_shared += 1;
+                            self.metrics.learnts_shared.inc();
                         }
                     }
                 }
@@ -2267,18 +1916,16 @@ mod tests {
         proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
         let lints = cert.stats.lints.as_ref().expect("bundle lint ran");
         assert_eq!(lints.errors, 0, "shared-learnt proof is lint-clean");
-        let ds = cert
-            .stats
-            .dispatch
-            .as_ref()
-            .expect("sharing seeds the dispatch stats block");
+        let stats = &cert.stats;
         assert!(
-            ds.learnts_shared > 0,
-            "multiplier sweep shares learnt clauses: {ds}"
+            stats.learnts_shared > 0,
+            "multiplier sweep shares learnt clauses: {}",
+            stats.learnts_shared
         );
         assert!(
-            ds.learnts_imported > 0,
-            "other workers import shared clauses: {ds}"
+            stats.learnts_imported > 0,
+            "other workers import shared clauses: {}",
+            stats.learnts_imported
         );
     }
 

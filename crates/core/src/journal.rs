@@ -148,13 +148,10 @@ fn header_body(options: &EngineConfig, a: &Aig, b: &Aig) -> Value {
                 None => Value::Null,
             },
         ),
-        (
-            "engine".into(),
-            Value::str(match options.engine {
-                crate::EngineSelect::Static => "static",
-                crate::EngineSelect::Adaptive => "adaptive",
-            }),
-        ),
+        // The engine has one discharge policy. Naming it keeps the
+        // header bytes (and so every journal hash) stable, and a journal
+        // that names another policy fails the header comparison.
+        ("engine".into(), Value::str("static")),
         (
             "share_structure".into(),
             Value::Bool(options.share_structure),

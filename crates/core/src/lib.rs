@@ -49,12 +49,12 @@ mod session;
 mod sim;
 mod stats_json;
 
-pub use engine::{miter_cnf, reduce, reduce_with_stats, EngineSelect};
+pub use engine::{miter_cnf, reduce, reduce_with_stats};
 pub use journal::{CrashMode, CrashPoint, Durable};
 pub use miter::Miter;
 pub use outcome::{
-    CecError, CecOutcome, Certificate, Counterexample, DispatchStats, EngineStats, PhaseTimes,
-    SatWork, WorkerStats,
+    CecError, CecOutcome, Certificate, Counterexample, EngineStats, PhaseTimes, SatWork,
+    WorkerStats,
 };
 pub use session::{EngineConfig, Session, SharedContext};
 pub use sim::SimClasses;

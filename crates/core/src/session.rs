@@ -23,7 +23,7 @@
 //! A one-shot check is `Session::new(config, &SharedContext::disabled())`;
 //! [`crate::reduce`] and [`crate::Durable`] take the same two halves.
 
-use crate::engine::{miter_cnf, EngineSelect, Sweep};
+use crate::engine::{miter_cnf, Sweep};
 use crate::journal::Durable;
 use crate::miter::Miter;
 use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample};
@@ -82,8 +82,6 @@ pub struct EngineConfig {
     /// signal, so proofs stay byte-reproducible per (seed, threads).
     /// `Some(n)` pins the window.
     pub pairs_per_worker: Option<usize>,
-    /// Discharge-scheduling policy; see [`EngineSelect`].
-    pub engine: EngineSelect,
     /// Share worker learnt (non-lemma) clauses between parallel-sweep
     /// workers through the clause feed. Every drained learnt clause is
     /// implied by the shared formula alone, and in proof mode its
@@ -122,7 +120,6 @@ impl Default for EngineConfig {
             pair_conflict_limit: None,
             threads: 1,
             pairs_per_worker: None,
-            engine: EngineSelect::Static,
             share_learnts: false,
             proof: true,
             lint_proof: false,

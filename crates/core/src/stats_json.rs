@@ -7,7 +7,7 @@
 //! bench harness. Durations are integer microseconds (`*_us` keys):
 //! lossless, deterministic, and diffable across runs.
 
-use crate::outcome::{DispatchStats, EngineStats, PhaseTimes, SatWork, WorkerStats};
+use crate::outcome::{EngineStats, PhaseTimes, SatWork, WorkerStats};
 use obs::json::Value;
 use proof::ProofStats;
 use sat::SolverStats;
@@ -79,24 +79,6 @@ fn lints_json(l: &lint::LintCounts) -> Value {
     ])
 }
 
-fn dispatch_json(d: &DispatchStats) -> Value {
-    obj(vec![
-        ("score", Value::F64(d.score)),
-        ("sat_budgeted", Value::U64(d.sat_budgeted)),
-        ("sat_unbudgeted", Value::U64(d.sat_unbudgeted)),
-        ("bdd_calls", Value::U64(d.bdd_calls)),
-        ("bdd_refuted", Value::U64(d.bdd_refuted)),
-        ("bdd_confirmed", Value::U64(d.bdd_confirmed)),
-        ("bdd_overflow", Value::U64(d.bdd_overflow)),
-        ("deferred", Value::U64(d.deferred)),
-        ("retried", Value::U64(d.retried)),
-        ("budget_min", Value::U64(d.budget_min)),
-        ("budget_max", Value::U64(d.budget_max)),
-        ("learnts_shared", Value::U64(d.learnts_shared)),
-        ("learnts_imported", Value::U64(d.learnts_imported)),
-    ])
-}
-
 impl WorkerStats {
     /// The worker's counters as a JSON object.
     pub fn to_json(&self) -> Value {
@@ -138,6 +120,8 @@ impl EngineStats {
             ("structural_merges", Value::U64(self.structural_merges)),
             ("pairs_skipped", Value::U64(self.pairs_skipped)),
             ("lemmas", Value::U64(self.lemmas)),
+            ("learnts_shared", Value::U64(self.learnts_shared)),
+            ("learnts_imported", Value::U64(self.learnts_imported)),
             ("rounds", Value::U64(self.rounds)),
             ("elapsed_us", us(self.elapsed)),
             ("phases", phases_json(&self.phases)),
@@ -173,9 +157,6 @@ impl EngineStats {
         }
         if let Some(l) = &self.lints {
             members.push(("lints", lints_json(l)));
-        }
-        if let Some(d) = &self.dispatch {
-            members.push(("dispatch", dispatch_json(d)));
         }
         if !self.pair_windows.is_empty() {
             members.push((
@@ -276,6 +257,8 @@ mod tests {
             ..WorkerStats::default()
         });
         s.stitch_boundaries = vec![10, 20];
+        s.learnts_shared = 4;
+        s.learnts_imported = 7;
 
         let text = s.to_json().to_string();
         let v = parse(&text).expect("stats JSON parses");
@@ -331,8 +314,12 @@ mod tests {
                 .map(<[Value]>::len),
             Some(2)
         );
-        // Proof/lint blocks are absent when the run had none.
+        assert_eq!(v.get("learnts_shared").and_then(Value::as_u64), Some(4));
+        assert_eq!(v.get("learnts_imported").and_then(Value::as_u64), Some(7));
+        // Proof/lint blocks are absent when the run had none; there is
+        // no `dispatch` block at all.
         assert!(v.get("proof").is_none());
         assert!(v.get("lints").is_none());
+        assert!(v.get("dispatch").is_none());
     }
 }

@@ -136,7 +136,30 @@ fn resume_rejects_mismatched_options() {
         Err(CecError::Journal(msg)) => assert!(msg.contains("header"), "{msg}"),
         other => panic!("expected header rejection, got {other:?}"),
     }
+    // A journal written under the removed adaptive scheduler: the same
+    // header but `"engine": "adaptive"`, written through the journal
+    // writer so its record checksum is valid and only the header check
+    // can refuse it.
+    let journaled = obs::journal::read_journal_file(&path).expect("journal");
+    let obs::json::Value::Object(mut header) = journaled.records[0].body.clone() else {
+        panic!("header record is an object");
+    };
+    let engine = header
+        .iter_mut()
+        .find(|(k, _)| k == "engine")
+        .expect("header names the engine");
+    assert_eq!(engine.1.as_str(), Some("static"));
+    engine.1 = obs::json::Value::str("adaptive");
+    let adaptive = tmp("adaptive.journal");
+    let mut w = obs::journal::JournalWriter::create(&adaptive).expect("create");
+    w.write(&obs::json::Value::Object(header)).expect("write");
+    drop(w);
+    match Durable::resume(&adaptive, &opts, &a, &b) {
+        Err(CecError::Journal(msg)) => assert!(msg.contains("header"), "{msg}"),
+        other => panic!("expected header rejection, got {other:?}"),
+    }
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&adaptive);
 }
 
 #[test]

@@ -15,45 +15,33 @@
 
 use aig::gen;
 use aig::Aig;
-use cec::{CecOutcome, EngineConfig, EngineSelect, Session, SharedContext};
+use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 
 /// `(cell, hash, sat_calls, lemmas, refinements)`.
 type Row = (&'static str, &'static str, u64, u64, u64);
 
 const GOLDEN: &[Row] = &[
     ("adder-16/t1", "c87c53521acd2640", 148, 216, 9),
-    ("adder-16/t1-adaptive", "c87c53521acd2640", 148, 216, 9),
     ("adder-16/t1-limit2", "5bd1725395a6cb41", 209, 146, 7),
     ("adder-16/t2", "b1db997d120d9714", 165, 216, 10),
     ("adder-16/t2-share", "9feda83db11d9c40", 165, 216, 10),
     ("mul-4/t1", "b0450b98ee06bc86", 64, 64, 0),
-    ("mul-4/t1-adaptive", "b0450b98ee06bc86", 64, 64, 0),
     ("mul-4/t1-limit2", "2bce26b43b69a52f", 50, 2, 0),
     ("mul-4/t2", "c3ad165e08080ebf", 64, 64, 0),
     ("mul-4/t2-share", "c3ad165e08080ebf", 64, 64, 0),
     ("popcount-12/t1", "d8af367017719f76", 101, 100, 1),
-    ("popcount-12/t1-adaptive", "c7836011d6d677a0", 102, 100, 1),
     ("popcount-12/t1-limit2", "d5be68e34a9bf988", 93, 62, 1),
     ("popcount-12/t2", "7f080eeef22312ae", 109, 100, 6),
     ("popcount-12/t2-share", "d7de8f315a6574ea", 109, 100, 6),
     ("shift-16/t1", "67a78a5dcb8c391a", 166, 168, 0),
-    ("shift-16/t1-adaptive", "67a78a5dcb8c391a", 166, 168, 0),
     ("shift-16/t1-limit2", "a37894ed58753f97", 134, 20, 0),
     ("shift-16/t2", "2a4ad7b6f4e8ff16", 168, 168, 0),
     ("shift-16/t2-share", "3c50e364a809c00e", 168, 168, 0),
     ("parity-32/t1", "ad5fa04fe7d9f726", 14, 14, 0),
-    ("parity-32/t1-adaptive", "ad5fa04fe7d9f726", 14, 14, 0),
     ("parity-32/t1-limit2", "8eae81cd6aad87f4", 9, 0, 0),
     ("parity-32/t2", "0b56a3ffea9c72b0", 14, 14, 0),
     ("parity-32/t2-share", "0b56a3ffea9c72b0", 14, 14, 0),
     ("adder-16-mutant/t1", "a451eaf73400d051", 123, 174, 7),
-    (
-        "adder-16-mutant/t1-adaptive",
-        "a451eaf73400d051",
-        123,
-        174,
-        7,
-    ),
     ("adder-16-mutant/t1-limit2", "6beeed288a4a62e5", 170, 118, 5),
     ("adder-16-mutant/t2", "c8e732bc23c4eda4", 132, 174, 11),
     ("adder-16-mutant/t2-share", "c8e732bc23c4eda4", 132, 174, 11),
@@ -101,13 +89,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
     let base = EngineConfig::default();
     vec![
         ("t1", base.clone()),
-        (
-            "t1-adaptive",
-            EngineConfig {
-                engine: EngineSelect::Adaptive,
-                ..base.clone()
-            },
-        ),
         (
             "t1-limit2",
             EngineConfig {

@@ -8,7 +8,7 @@ use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use obs::json::Value;
 use obs::metrics::{self, Metrics};
 use obs::Recorder;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -161,6 +161,41 @@ impl Server {
     }
 }
 
+/// Longest request line a connection may send, newline excluded. A
+/// client that streams bytes without a newline would otherwise grow the
+/// handler's buffer without bound; past this cap the line is answered
+/// with an error and the connection closes.
+const MAX_REQUEST_LINE_BYTES: usize = 16 << 20;
+
+/// One request line read under [`MAX_REQUEST_LINE_BYTES`].
+enum RequestLine {
+    Line(String),
+    TooLong,
+    Eof,
+}
+
+/// Reads the next request line, stripping the `\n` or `\r\n`
+/// terminator. A final line without a terminator still counts, as with
+/// [`BufRead::lines`].
+fn read_request_line(reader: &mut impl BufRead) -> io::Result<RequestLine> {
+    let mut buf = Vec::new();
+    let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    if reader.take(limit).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE_BYTES {
+        return Ok(RequestLine::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(RequestLine::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 fn handle_connection(
     stream: TcpStream,
     shared: &Arc<Shared>,
@@ -168,10 +203,19 @@ fn handle_connection(
     stop: &AtomicBool,
     local: std::net::SocketAddr,
 ) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        let line = match read_request_line(&mut reader)? {
+            RequestLine::Line(line) => line,
+            RequestLine::Eof => return Ok(()),
+            RequestLine::TooLong => {
+                shared.requests.inc();
+                let msg = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+                writeln!(writer, "{}", protocol::error_value(&msg))?;
+                return writer.flush();
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -224,7 +268,6 @@ fn handle_connection(
         writeln!(writer, "{response}")?;
         writer.flush()?;
     }
-    Ok(())
 }
 
 /// Fans `pairs` out to the worker pool and collects replies in input

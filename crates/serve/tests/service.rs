@@ -153,3 +153,51 @@ fn poisoned_spill_entry_is_reproved_not_served() {
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn oversized_request_line_is_refused_and_the_server_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    // The server's request-line cap (16 MiB; see DESIGN.md).
+    const CAP: usize = 16 << 20;
+    let metrics = Metrics::disabled();
+    let (addr, handle) = start(loopback_config(&metrics));
+    let (a, b) = (ripple_carry_adder(4), kogge_stone_adder(4));
+    let mut client = Client::connect(&addr).expect("connect");
+    assert!(!client.check(&a, &b).expect("prove").cache_hit, "cold");
+
+    // One byte over the cap and no newline: a client that would
+    // otherwise grow the handler's buffer for as long as it streams.
+    // Exactly CAP + 1 bytes go out, all of which the server reads, so
+    // its close is a clean FIN and the error reply is not lost.
+    let stream = std::net::TcpStream::connect(&addr).expect("raw connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("timeout");
+    let mut w = stream.try_clone().expect("clone");
+    let chunk = vec![b'x'; 1 << 16];
+    let mut left = CAP + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        w.write_all(&chunk[..n]).expect("stream the line");
+        left -= n;
+    }
+    let mut r = BufReader::new(stream);
+    let mut line = String::new();
+    r.read_line(&mut line).expect("error reply");
+    let reply = obs::json::parse(line.trim()).expect("reply is JSON");
+    assert_eq!(
+        reply.get("error").and_then(Value::as_str),
+        Some(format!("request line exceeds {CAP} bytes").as_str()),
+        "{line}"
+    );
+    line.clear();
+    assert_eq!(r.read_line(&mut line).expect("EOF"), 0, "connection closed");
+
+    // A fresh connection is served as before, cache included.
+    let mut fresh = Client::connect(&addr).expect("reconnect");
+    fresh.ping().expect("ping");
+    assert!(fresh.check(&a, &b).expect("cached check").cache_hit, "warm");
+
+    fresh.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}

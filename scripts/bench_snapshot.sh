@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Produces the machine-readable perf snapshot BENCH_<date>.json from the
-# t7 mixed-hardness workload: every (pair, engine, threads) cell of the
+# t7 mixed-hardness workload: every (pair, threads) cell of the
 # zoo is proved in-process and folded into one bench-v2 document (a
 # strict superset of the old bench-v1 shape) so future PRs can diff the
 # trajectory with `rbench compare`.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Do parallel sweep, adaptive scheduling, learnt sharing and window pinning pay?
+"""Do parallel sweep, learnt sharing and window pinning pay?
 
-Runs `rcec` over six seconds-scale pairs under seven engine
+Runs `rcec` over six seconds-scale pairs under six engine
 configurations, with the configurations interleaved inside every
 repetition (and their order rotated between repetitions) so that slow
 drifts of the host hit every configuration alike. Prints one JSON line
@@ -14,7 +14,9 @@ conflicts over all solvers, sweep SAT calls, proof resolutions).
     python3 scripts/feature_grid.py --reps 5 --work target/feature-grid
 
 The table in EXPERIMENTS.md ("Do parallel sweep, adaptive, learnt
-sharing and window pinning pay?") was produced this way.
+sharing and window pinning pay?") was produced this way. Those runs
+also had an `adaptive` configuration (`--engine=adaptive`); the engine
+has since lost that scheduler and the flag (EXPERIMENTS.md E5).
 """
 
 import argparse
@@ -29,7 +31,6 @@ CONFIGS = {
     "t1": [],
     "t2": ["--threads=2"],
     "t2+share": ["--threads=2", "--share-learnts"],
-    "adaptive": ["--engine=adaptive"],
     "t2 pin 4": ["--threads=2", "--pairs-per-worker=4"],
     "t2 pin 8": ["--threads=2", "--pairs-per-worker=8"],
     "t2 pin 32": ["--threads=2", "--pairs-per-worker=32"],
