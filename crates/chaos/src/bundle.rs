@@ -1,35 +1,41 @@
 //! Bundle emission and the paired adversarial checker.
 //!
-//! [`prove_and_emit`] runs one journaled engine check and persists every
-//! artifact class the pipeline produces — AIGER inputs, the miter
-//! DIMACS, the TraceCheck and DRAT proofs, the certificate, and the
-//! write-ahead journal — plus a `manifest.json` recording an FNV-1a
-//! fingerprint per file. [`check_bundle`] is the paired checker: it
-//! re-reads the directory, verifies every fingerprint, re-parses every
-//! artifact, and cross-links them (proof ↔ CNF ↔ certificate ↔ journal
-//! verdict), mapping each defect to a stable lint code. The checker's
-//! contract under fault injection is strict: corrupted bytes are
-//! *rejected with a diagnostic*, never accepted, never a panic.
+//! [`prove_and_emit`] runs one engine check and persists the evidence
+//! an independent auditor needs: the AIGER inputs, the miter DIMACS,
+//! and either the TraceCheck and DRAT proofs plus the certificate
+//! (equivalent) or the distinguishing input pattern `cex`
+//! (inequivalent). A [`Manifest`] (`manifest.json`) commits them: it
+//! records the verdict, the miter's structural-sharing flag, and an
+//! FNV-1a fingerprint per file, and is the bundle's only audit record.
+//! It is written last and atomically, so a crash mid-emission leaves a
+//! directory without a manifest, which the checker rejects and a plain
+//! rerun of [`prove_and_emit`] completes.
+//!
+//! [`check_bundle`] is the paired checker: it re-reads the directory,
+//! verifies every fingerprint, re-parses every artifact, enforces the
+//! verdict from the artifacts themselves (a proof for `equivalent`, a
+//! distinguishing pattern for `inequivalent`), and cross-links proof ↔
+//! CNF ↔ certificate ↔ miter, mapping each defect to a stable lint
+//! code. The checker's contract under fault injection is strict:
+//! corrupted bytes are *rejected with a diagnostic*, never accepted,
+//! never a panic.
 
 use aig::Aig;
-use cec::{
-    miter_cnf, CecError, CecOutcome, CrashPoint, Durable, EngineConfig, Miter, Session,
-    SharedContext,
-};
+use cec::{miter_cnf, CecError, CecOutcome, EngineConfig, Miter, Session, SharedContext};
 use lint::{
-    lint_bundle, lint_drat, lint_journal, read_tracecheck, Artifact, Bundle, CertificateInfo,
-    LintOptions, Report, XB010, XB011,
+    lint_bundle, lint_drat, read_tracecheck, Artifact, Bundle, CertificateInfo, LintOptions,
+    Report, XB010, XB011,
 };
 use obs::hash::fnv1a64_hex;
 use obs::json::{self, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Cursor};
+use std::io::{self, Cursor, Write};
 use std::path::{Path, PathBuf};
 
 /// Manifest format version written in `manifest.json`.
-pub const MANIFEST_FORMAT: u64 = 1;
+pub const MANIFEST_FORMAT: u64 = 2;
 
 /// Every artifact file name a bundle may contain (the manifest itself
 /// is not an artifact — it is the fingerprint ledger *over* them).
@@ -40,8 +46,11 @@ pub const ARTIFACTS: &[&str] = &[
     "proof.tc",
     "proof.drat",
     "cert.cert",
-    "run.journal",
+    "cex",
 ];
+
+/// The artifacts only an equivalent bundle carries.
+const PROOF_ARTIFACTS: &[&str] = &["proof.tc", "proof.drat", "cert.cert"];
 
 /// File name of the manifest.
 pub const MANIFEST: &str = "manifest.json";
@@ -101,10 +110,10 @@ impl BundlePaths {
         self.file("cert.cert")
     }
 
-    /// The write-ahead run-state journal.
+    /// The distinguishing input pattern of an inequivalent bundle.
     #[must_use]
-    pub fn journal(&self) -> PathBuf {
-        self.file("run.journal")
+    pub fn cex(&self) -> PathBuf {
+        self.file("cex")
     }
 
     /// The fingerprint manifest.
@@ -114,11 +123,152 @@ impl BundlePaths {
     }
 }
 
+/// The parsed `manifest.json`: the bundle's audit record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Manifest {
+    /// The claimed verdict: `true` = equivalent.
+    pub equivalent: bool,
+    /// Whether the miter shares structure across the two circuits. The
+    /// flag decides which Tseitin clauses `miter.cnf` holds, so the
+    /// checker rebuilds the miter with it.
+    pub share_structure: bool,
+    /// `(artifact, FNV-1a hex fingerprint)` per listed file, in order.
+    pub entries: Vec<(&'static str, String)>,
+}
+
+impl Manifest {
+    /// The canonical serialization: one compact JSON object and a
+    /// newline.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(file, fnv)| {
+                Value::Object(vec![
+                    ("file".into(), Value::str(*file)),
+                    ("fnv".into(), Value::str(fnv)),
+                ])
+            })
+            .collect();
+        let doc = Value::Object(vec![
+            ("format".into(), Value::U64(MANIFEST_FORMAT)),
+            (
+                "verdict".into(),
+                Value::str(if self.equivalent {
+                    "equivalent"
+                } else {
+                    "inequivalent"
+                }),
+            ),
+            ("share_structure".into(), Value::Bool(self.share_structure)),
+            ("entries".into(), Value::Array(entries)),
+        ]);
+        format!("{doc}\n")
+    }
+
+    /// Parses a manifest. Only the canonical bytes of a format-2
+    /// manifest are accepted, so any damage that still parses as JSON
+    /// is rejected too.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first defect found.
+    pub fn parse(text: &str) -> Result<Manifest, String> {
+        let doc = json::parse(text).map_err(|e| format!("manifest.json malformed: {e}"))?;
+        if doc.get("format").and_then(Value::as_u64) != Some(MANIFEST_FORMAT) {
+            return Err(format!("manifest format is not {MANIFEST_FORMAT}"));
+        }
+        let equivalent = match doc.get("verdict").and_then(Value::as_str) {
+            Some("equivalent") => true,
+            Some("inequivalent") => false,
+            other => {
+                return Err(format!(
+                    "manifest verdict is {other:?}, not equivalent/inequivalent"
+                ))
+            }
+        };
+        let share_structure = doc
+            .get("share_structure")
+            .and_then(Value::as_bool)
+            .ok_or("manifest has no boolean share_structure")?;
+        let items = doc
+            .get("entries")
+            .and_then(Value::as_array)
+            .ok_or("manifest has no entries array")?;
+        let mut entries: Vec<(&'static str, String)> = Vec::with_capacity(items.len());
+        for item in items {
+            let file = item.get("file").and_then(Value::as_str);
+            let fnv = item.get("fnv").and_then(Value::as_str);
+            let (Some(file), Some(fnv)) = (file, fnv) else {
+                return Err("manifest entry lacks file/fnv fields".into());
+            };
+            // The layout is closed: resolving to a static artifact name
+            // also guards against entries naming files outside the
+            // bundle.
+            let name = ARTIFACTS
+                .iter()
+                .copied()
+                .find(|n| *n == file)
+                .ok_or_else(|| format!("manifest names unknown artifact `{file}`"))?;
+            if entries.iter().any(|(n, _)| *n == name) {
+                return Err(format!("manifest lists `{name}` twice"));
+            }
+            entries.push((name, fnv.to_string()));
+        }
+        let manifest = Manifest {
+            equivalent,
+            share_structure,
+            entries,
+        };
+        if manifest.render() != text {
+            return Err("manifest.json is not in canonical form".into());
+        }
+        Ok(manifest)
+    }
+
+    /// Whether `name` is listed.
+    #[must_use]
+    pub fn lists(&self, name: &str) -> bool {
+        self.entries.iter().any(|(n, _)| *n == name)
+    }
+}
+
+/// Serializes a counterexample as the `cex` artifact: one `0`/`1` per
+/// primary input, in input order, then a newline.
+#[must_use]
+pub fn write_cex(pattern: &[bool]) -> Vec<u8> {
+    let mut bytes: Vec<u8> = pattern
+        .iter()
+        .map(|&b| if b { b'1' } else { b'0' })
+        .collect();
+    bytes.push(b'\n');
+    bytes
+}
+
+/// Parses a `cex` artifact written by [`write_cex`].
+///
+/// # Errors
+///
+/// A description of the first byte that breaks the format.
+pub fn parse_cex(bytes: &[u8]) -> Result<Vec<bool>, String> {
+    let bits = bytes
+        .strip_suffix(b"\n")
+        .ok_or("counterexample does not end in a newline")?;
+    bits.iter()
+        .enumerate()
+        .map(|(i, b)| match b {
+            b'0' => Ok(false),
+            b'1' => Ok(true),
+            _ => Err(format!("counterexample byte {i} is not 0 or 1")),
+        })
+        .collect()
+}
+
 /// Why [`prove_and_emit`] failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EmitError {
-    /// The engine run itself failed (including injected crashes, which
-    /// surface as [`CecError::CrashInjected`]).
+    /// The engine run itself failed.
     Engine(CecError),
     /// Writing an artifact or the manifest failed.
     Io(String),
@@ -145,184 +295,144 @@ fn io_err(what: &str, e: &io::Error) -> EmitError {
     EmitError::Io(format!("{what}: {e}"))
 }
 
-/// Writes `manifest.json` for the named files (hashing each from disk).
-fn write_manifest(paths: &BundlePaths, verdict: &str, files: &[&str]) -> Result<(), EmitError> {
-    let mut entries = Vec::with_capacity(files.len());
-    for name in files {
-        let bytes = fs::read(paths.file(name)).map_err(|e| io_err(&format!("read {name}"), &e))?;
-        entries.push(Value::Object(vec![
-            ("file".into(), Value::str(*name)),
-            ("fnv".into(), Value::Str(fnv1a64_hex(&bytes))),
-        ]));
+fn remove_if_present(path: &Path) -> Result<(), EmitError> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => {
+            Err(io_err(&format!("remove {}", path.display()), &e))
+        }
+        _ => Ok(()),
     }
-    let doc = Value::Object(vec![
-        ("format".into(), Value::U64(MANIFEST_FORMAT)),
-        ("verdict".into(), Value::str(verdict)),
-        ("entries".into(), Value::Array(entries)),
-    ]);
-    fs::write(paths.manifest(), format!("{doc}\n")).map_err(|e| io_err("write manifest.json", &e))
 }
 
-/// Runs one journaled engine check in `dir` and persists the full
-/// artifact bundle plus its manifest.
-///
-/// With `resume = false` a fresh journal is started; with `resume =
-/// true` the existing `run.journal` is validated and continued, so a
-/// crashed emission can be finished by calling again. An armed `crash`
-/// fires at its phase checkpoint (see [`cec::CrashPoint`]); the journal
-/// and the already-written inputs survive it.
+/// Commits the bundle: the manifest goes to a temp file, is synced, and
+/// is renamed into place (the directory is synced after the rename), so
+/// a crash leaves either no manifest or the complete one. Artifact
+/// bytes are not synced: after a power cut a manifest that outlived its
+/// artifacts' data fails the fingerprint gate instead of vouching for
+/// them.
+fn commit_manifest(paths: &BundlePaths, manifest: &Manifest) -> Result<(), EmitError> {
+    let tmp = paths.file("manifest.json.tmp");
+    let written = fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(manifest.render().as_bytes())?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, paths.manifest()))
+        .and_then(|()| fs::File::open(&paths.dir)?.sync_all());
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written.map_err(|e| io_err("commit manifest.json", &e))
+}
+
+/// Runs one engine check and persists the bundle for it in `dir`,
+/// committed by its manifest. Rerunning over a directory an interrupted
+/// or earlier emission left behind replaces its contents: the old
+/// manifest is removed first, and artifacts the new verdict does not
+/// carry are deleted before the new manifest lands. An equivalent
+/// verdict is only auditable with its proof, so `options.proof` should
+/// stay on.
 ///
 /// # Errors
 ///
-/// [`EmitError::Engine`] for engine failures (crash injection included),
-/// [`EmitError::Io`] for artifact write failures.
+/// [`EmitError::Engine`] for engine failures, [`EmitError::Io`] for
+/// artifact write failures.
 pub fn prove_and_emit(
     dir: &Path,
     a: &Aig,
     b: &Aig,
     options: &EngineConfig,
-    crash: Option<CrashPoint>,
-    resume: bool,
 ) -> Result<CecOutcome, EmitError> {
     let paths = BundlePaths::new(dir);
     fs::create_dir_all(dir).map_err(|e| io_err("create bundle dir", &e))?;
-    let write_aig = |path: &Path, g: &Aig| -> Result<(), EmitError> {
+    // Uncommit first, so no old manifest ever vouches for new bytes.
+    remove_if_present(&paths.manifest())?;
+    let outcome = Session::new(options.clone(), &SharedContext::disabled()).check(a, b)?;
+
+    let aiger = |g: &Aig| {
         let mut bytes = Vec::new();
         aig::aiger::write_ascii(g, &mut bytes).expect("write to Vec cannot fail");
-        fs::write(path, bytes).map_err(|e| io_err(&format!("write {}", path.display()), &e))
+        bytes
     };
-    write_aig(&paths.a(), a)?;
-    write_aig(&paths.b(), b)?;
-
-    let mut durable = if resume {
-        Durable::resume(&paths.journal(), options, a, b)?
-    } else {
-        Durable::begin(&paths.journal(), options, a, b)?
-    };
-    if let Some(c) = crash {
-        durable.arm(c);
-    }
-    let outcome = Session::new(options.clone(), &SharedContext::disabled()).check_durable(
-        a,
-        b,
-        &mut durable,
-    )?;
-    drop(durable);
-
+    let mut cnf_bytes = Vec::new();
     let miter = Miter::build(a, b, options.share_structure);
-    let cnf = miter_cnf(&miter);
-    let mut bytes = Vec::new();
-    cnf::dimacs::write(&cnf, &mut bytes).expect("write to Vec cannot fail");
-    fs::write(paths.cnf(), bytes).map_err(|e| io_err("write miter.cnf", &e))?;
-
-    let mut files = vec!["a.aag", "b.aag", "miter.cnf", "run.journal"];
-    let verdict = if outcome.is_equivalent() {
-        "equivalent"
-    } else {
-        "inequivalent"
-    };
-    if let Some(cert) = outcome.certificate() {
-        if let Some(p) = &cert.proof {
-            let mut bytes = Vec::new();
-            proof::export::write_tracecheck(p, &mut bytes).expect("write to Vec cannot fail");
-            fs::write(paths.proof(), bytes).map_err(|e| io_err("write proof.tc", &e))?;
-            let mut bytes = Vec::new();
-            proof::export::write_drat(p, &mut bytes).expect("write to Vec cannot fail");
-            fs::write(paths.drat(), bytes).map_err(|e| io_err("write proof.drat", &e))?;
-            let mut bytes = Vec::new();
-            cert.info()
-                .write(&mut bytes)
-                .expect("write to Vec cannot fail");
-            fs::write(paths.certificate(), bytes).map_err(|e| io_err("write cert.cert", &e))?;
-            files.extend(["proof.tc", "proof.drat", "cert.cert"]);
+    cnf::dimacs::write(&miter_cnf(&miter), &mut cnf_bytes).expect("write to Vec cannot fail");
+    let mut artifacts: Vec<(&'static str, Vec<u8>)> = vec![
+        ("a.aag", aiger(a)),
+        ("b.aag", aiger(b)),
+        ("miter.cnf", cnf_bytes),
+    ];
+    match &outcome {
+        CecOutcome::Equivalent(cert) => {
+            if let Some(p) = &cert.proof {
+                let mut tc = Vec::new();
+                proof::export::write_tracecheck(p, &mut tc).expect("write to Vec cannot fail");
+                let mut drat = Vec::new();
+                proof::export::write_drat(p, &mut drat).expect("write to Vec cannot fail");
+                let mut info = Vec::new();
+                cert.info()
+                    .write(&mut info)
+                    .expect("write to Vec cannot fail");
+                artifacts.extend([("proof.tc", tc), ("proof.drat", drat), ("cert.cert", info)]);
+            }
+        }
+        CecOutcome::Inequivalent { counterexample, .. } => {
+            artifacts.push(("cex", write_cex(&counterexample.pattern)));
         }
     }
-    write_manifest(&paths, verdict, &files)?;
+    for (name, bytes) in &artifacts {
+        fs::write(paths.file(name), bytes).map_err(|e| io_err(&format!("write {name}"), &e))?;
+    }
+    for name in ARTIFACTS {
+        if !artifacts.iter().any(|(n, _)| n == name) {
+            remove_if_present(&paths.file(name))?;
+        }
+    }
+    let manifest = Manifest {
+        equivalent: outcome.is_equivalent(),
+        share_structure: options.share_structure,
+        entries: artifacts
+            .iter()
+            .map(|(name, bytes)| (*name, fnv1a64_hex(bytes)))
+            .collect(),
+    };
+    commit_manifest(&paths, &manifest)?;
     Ok(outcome)
 }
 
-/// Verifies the manifest and every listed fingerprint. Hash-verified
-/// artifact bytes land in `verified`; the return value is the
-/// manifest's verdict claim (`Some(true)` = equivalent) when the
-/// manifest itself was intact enough to state one.
+/// Reads the manifest and verifies every listed fingerprint.
+/// Hash-verified artifact bytes land in `verified`. Returns the
+/// manifest when it parsed.
 fn check_manifest(
     paths: &BundlePaths,
     report: &mut Report,
     cap: usize,
     verified: &mut HashMap<&'static str, Vec<u8>>,
-) -> Option<bool> {
-    let text = match fs::read_to_string(paths.manifest()) {
-        Ok(t) => t,
-        Err(e) => {
-            report.emit(XB011, None, cap, || {
-                format!("manifest.json unreadable: {e}")
-            });
+) -> Option<Manifest> {
+    let manifest = fs::read_to_string(paths.manifest())
+        .map_err(|e| format!("manifest.json unreadable: {e}"))
+        .and_then(|text| Manifest::parse(&text));
+    let manifest = match manifest {
+        Ok(m) => m,
+        Err(why) => {
+            report.emit(XB011, None, cap, || why);
             return None;
         }
     };
-    let doc = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            report.emit(XB011, None, cap, || format!("manifest.json malformed: {e}"));
-            return None;
-        }
-    };
-    if doc.get("format").and_then(Value::as_u64) != Some(MANIFEST_FORMAT) {
-        report.emit(XB011, None, cap, || {
-            format!("manifest format is not {MANIFEST_FORMAT}")
-        });
-        return None;
-    }
-    let verdict = match doc.get("verdict").and_then(Value::as_str) {
-        Some("equivalent") => Some(true),
-        Some("inequivalent") => Some(false),
-        other => {
-            let other = other.map(str::to_string);
-            report.emit(XB011, None, cap, || {
-                format!("manifest verdict is {other:?}, not equivalent/inequivalent")
-            });
-            None
-        }
-    };
-    let Some(entries) = doc.get("entries").and_then(Value::as_array) else {
-        report.emit(XB011, None, cap, || "manifest has no entries array".into());
-        return verdict;
-    };
-    let mut listed: Vec<&'static str> = Vec::new();
-    for entry in entries {
-        let file = entry.get("file").and_then(Value::as_str);
-        let fnv = entry.get("fnv").and_then(Value::as_str);
-        let (Some(file), Some(fnv)) = (file, fnv) else {
-            report.emit(XB011, None, cap, || {
-                "manifest entry lacks file/fnv fields".into()
-            });
-            continue;
-        };
-        // Resolve to the static artifact name: the layout is closed, so
-        // anything else is a manifest defect (and a path-escape guard —
-        // entries can never name files outside the bundle).
-        let Some(name) = ARTIFACTS.iter().find(|n| **n == file).copied() else {
-            let file = file.to_string();
-            report.emit(XB011, None, cap, || {
-                format!("manifest names unknown artifact `{file}`")
-            });
-            continue;
-        };
-        listed.push(name);
+    for (name, fnv) in &manifest.entries {
         match fs::read(paths.file(name)) {
             Err(e) => report.emit(XB011, None, cap, || {
                 format!("manifest names absent file `{name}`: {e}")
             }),
             Ok(bytes) => {
                 let actual = fnv1a64_hex(&bytes);
-                if actual == fnv {
+                if actual == *fnv {
                     verified.insert(name, bytes);
                 } else {
-                    let recorded = fnv.to_string();
                     report.emit(XB010, None, cap, || {
                         format!(
                             "`{name}`: content hash {actual} disagrees with \
-                             manifest ({recorded})"
+                             manifest ({fnv})"
                         )
                     });
                 }
@@ -330,26 +440,59 @@ fn check_manifest(
         }
     }
     for name in ARTIFACTS {
-        if !listed.contains(name) && paths.file(name).exists() {
+        if !manifest.lists(name) && paths.file(name).exists() {
             report.emit(XB011, None, cap, || {
                 format!("artifact `{name}` is on disk but not in the manifest")
             });
         }
     }
-    verdict
+    Some(manifest)
 }
 
-/// Checks the bundle in `dir`: manifest fingerprints, per-artifact
-/// parses and lints, and cross-artifact consistency. Never panics and
-/// never errors — every defect, including an unreadable directory,
-/// becomes a diagnostic in the returned report.
+/// The verdict rule: an equivalent bundle lists `proof.tc` and
+/// `cert.cert` and no `cex`; an inequivalent one lists `cex` and no
+/// proof artifact.
+fn check_evidence(manifest: &Manifest, report: &mut Report, cap: usize) {
+    let (verdict, required, forbidden): (&str, &[&str], &[&str]) = if manifest.equivalent {
+        ("equivalent", &["proof.tc", "cert.cert"], &["cex"])
+    } else {
+        ("inequivalent", &["cex"], PROOF_ARTIFACTS)
+    };
+    for name in required {
+        if !manifest.lists(name) {
+            report.emit(XB011, None, cap, || {
+                format!("an {verdict} bundle must list `{name}`")
+            });
+        }
+    }
+    for name in forbidden {
+        if manifest.lists(name) {
+            report.emit(XB011, None, cap, || {
+                format!("an {verdict} bundle must not carry `{name}`")
+            });
+        }
+    }
+}
+
+/// Checks the bundle in `dir`: manifest fingerprints, the verdict rule,
+/// per-artifact parses and lints, and cross-artifact consistency. Never
+/// panics and never errors — every defect, including an unreadable
+/// directory, becomes a diagnostic in the returned report.
 #[must_use]
 pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
     let paths = BundlePaths::new(dir);
     let mut report = Report::new(Artifact::Bundle);
     let cap = opts.max_per_lint;
     let mut verified: HashMap<&'static str, Vec<u8>> = HashMap::new();
-    let manifest_verdict = check_manifest(&paths, &mut report, cap, &mut verified);
+    let Some(manifest) = check_manifest(&paths, &mut report, cap, &mut verified) else {
+        return report;
+    };
+    check_evidence(&manifest, &mut report, cap);
+    // An equivalent verdict stands on a refutation.
+    let proof_opts = LintOptions {
+        expect_refutation: opts.expect_refutation || manifest.equivalent,
+        ..opts.clone()
+    };
 
     // Per-artifact parses. A hash-verified artifact that still fails to
     // parse means the *producer* wrote garbage — a bundle-level defect.
@@ -377,13 +520,13 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
                 }
             });
     let proof = verified.get("proof.tc").and_then(|bytes| {
-        let (tc_report, p) =
-            read_tracecheck(Cursor::new(bytes), opts).expect("reading from memory cannot fail");
+        let (tc_report, p) = read_tracecheck(Cursor::new(bytes), &proof_opts)
+            .expect("reading from memory cannot fail");
         report.absorb(tc_report);
         p
     });
     if let Some(bytes) = verified.get("proof.drat") {
-        let drat_report = lint_drat(Cursor::new(bytes), formula.as_ref(), opts)
+        let drat_report = lint_drat(Cursor::new(bytes), formula.as_ref(), &proof_opts)
             .expect("reading from memory cannot fail");
         report.absorb(drat_report);
     }
@@ -403,33 +546,25 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
             }
         }
     });
-    let journal_records = verified.get("run.journal").and_then(|bytes| {
-        let jn_report =
-            lint_journal(Cursor::new(bytes), opts).expect("reading from memory cannot fail");
-        report.absorb(jn_report);
-        obs::journal::read_journal(Cursor::new(bytes))
-            .ok()
-            .map(|j| j.records)
-    });
+    let cex = verified
+        .get("cex")
+        .and_then(|bytes| match parse_cex(bytes) {
+            Ok(pattern) => Some(pattern),
+            Err(e) => {
+                unparseable.push(("cex", e));
+                None
+            }
+        });
     for (name, why) in unparseable {
         report.emit(XB011, None, cap, || {
             format!("`{name}` is unparseable despite a matching hash: {why}")
         });
     }
 
-    // Cross-artifact binding. The miter is rebuilt from the AIGER pair
-    // with the structural-sharing flag the journal header recorded (the
-    // flag changes which Tseitin clauses exist).
-    let header = journal_records.as_ref().and_then(|r| {
-        r.first()
-            .filter(|rec| rec.body.get("type").and_then(Value::as_str) == Some("header"))
-            .map(|rec| &rec.body)
-    });
-    let share = header
-        .and_then(|h| h.get("share_structure"))
-        .is_none_or(|v| *v == Value::Bool(true));
+    // Cross-artifact binding over the miter rebuilt from the AIGER pair
+    // with the manifest's structural-sharing flag.
     let miter_graph = match (&a, &b) {
-        (Some(a), Some(b)) => Some(Miter::build(a, b, share).graph),
+        (Some(a), Some(b)) => Some(Miter::build(a, b, manifest.share_structure).graph),
         _ => None,
     };
     report.absorb(lint_bundle(
@@ -442,72 +577,20 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
         opts,
     ));
 
-    // The journal's verdict record seals the run: its equivalence flag,
-    // proof fingerprint, and counterexample must all still hold.
-    let verdict_rec = journal_records.as_ref().and_then(|r| {
-        r.iter()
-            .rev()
-            .find(|rec| rec.body.get("type").and_then(Value::as_str) == Some("verdict"))
-            .map(|rec| &rec.body)
-    });
-    if let Some(v) = verdict_rec {
-        let equivalent = v.get("equivalent").map(|b| *b == Value::Bool(true));
-        if let (Some(journaled), Some(claimed)) = (equivalent, manifest_verdict) {
-            if journaled != claimed {
-                report.emit(XB011, None, cap, || {
-                    format!(
-                        "manifest verdict ({}) disagrees with the journal ({})",
-                        if claimed {
-                            "equivalent"
-                        } else {
-                            "inequivalent"
-                        },
-                        if journaled {
-                            "equivalent"
-                        } else {
-                            "inequivalent"
-                        },
-                    )
-                });
-            }
-        }
-        if let (Some(hash), Some(bytes)) = (
-            v.get("proof_hash").and_then(Value::as_str),
-            verified.get("proof.tc"),
-        ) {
-            let actual = fnv1a64_hex(bytes);
-            if actual != hash {
-                let recorded = hash.to_string();
-                report.emit(XB010, None, cap, || {
-                    format!(
-                        "`proof.tc`: content hash {actual} disagrees with the \
-                         journal's verdict record ({recorded})"
-                    )
-                });
-            }
-        }
-        if let Some(pattern) = v.get("pattern").and_then(Value::as_array) {
-            let bools: Vec<bool> = pattern.iter().map(|b| *b == Value::Bool(true)).collect();
-            if let (Some(a), Some(b)) = (&a, &b) {
-                if bools.len() == a.num_inputs() && bools.len() == b.num_inputs() {
-                    if a.evaluate(&bools) == b.evaluate(&bools) {
-                        report.emit(XB011, None, cap, || {
-                            "the journaled counterexample does not distinguish the \
-                             circuits"
-                                .into()
-                        });
-                    }
-                } else {
-                    report.emit(XB011, None, cap, || {
-                        format!(
-                            "the journaled counterexample has {} bits for {}-input \
-                             circuits",
-                            bools.len(),
-                            a.num_inputs()
-                        )
-                    });
-                }
-            }
+    // The counterexample must still distinguish the circuits.
+    if let (Some(pattern), Some(a), Some(b)) = (&cex, &a, &b) {
+        if pattern.len() != a.num_inputs() || pattern.len() != b.num_inputs() {
+            report.emit(XB011, None, cap, || {
+                format!(
+                    "the counterexample has {} bits for {}-input circuits",
+                    pattern.len(),
+                    a.num_inputs()
+                )
+            });
+        } else if a.evaluate(pattern) == b.evaluate(pattern) {
+            report.emit(XB011, None, cap, || {
+                "the counterexample does not distinguish the circuits".into()
+            });
         }
     }
     report
@@ -530,38 +613,160 @@ mod tests {
         EngineConfig::default()
     }
 
+    fn check(dir: &Path) -> Report {
+        check_bundle(dir, &LintOptions::default())
+    }
+
+    /// An inequivalent pair: a parity chain against a differing mutant.
+    fn inequivalent_pair() -> (Aig, Aig) {
+        let a = gen::parity_chain(8);
+        let b = gen::mutate(&a, 7).expect("mutant");
+        (a, b)
+    }
+
+    /// Rewrites the manifest through `edit`, then re-fingerprints every
+    /// listed artifact from disk — the forger's last step.
+    fn forge_manifest(dir: &Path, edit: impl FnOnce(&mut Manifest)) {
+        let paths = BundlePaths::new(dir);
+        let mut m = Manifest::parse(&fs::read_to_string(paths.manifest()).unwrap()).unwrap();
+        edit(&mut m);
+        for (name, fnv) in &mut m.entries {
+            *fnv = fnv1a64_hex(&fs::read(paths.file(name)).unwrap());
+        }
+        fs::write(paths.manifest(), m.render()).unwrap();
+    }
+
+    fn messages(r: &Report) -> String {
+        r.diagnostics()
+            .iter()
+            .map(|d| d.message.as_str())
+            .collect::<Vec<_>>()
+            .join("; ")
+    }
+
+    #[test]
+    fn manifest_and_cex_round_trip_and_reject_noncanonical_bytes() {
+        let m = Manifest {
+            equivalent: false,
+            share_structure: true,
+            entries: vec![("a.aag", "00ff".into()), ("cex", "0123".into())],
+        };
+        let text = m.render();
+        assert_eq!(Manifest::parse(&text), Ok(m));
+        assert!(Manifest::parse(text.trim_end()).is_err(), "missing newline");
+        assert!(Manifest::parse(&text.replace(":2,", ":1,")).is_err());
+        assert!(Manifest::parse(&text.replace("a.aag", "cex")).is_err());
+        assert!(Manifest::parse(&text.replace("a.aag", "../x")).is_err());
+
+        let pattern = [true, false, false, true];
+        assert_eq!(write_cex(&pattern), b"1001\n");
+        assert_eq!(parse_cex(&write_cex(&pattern)).unwrap(), pattern);
+        assert_eq!(parse_cex(b"\n").unwrap(), Vec::<bool>::new());
+        assert!(parse_cex(b"1001").is_err());
+        assert!(parse_cex(b"10x1\n").is_err());
+    }
+
     #[test]
     fn emitted_bundle_checks_clean() {
         let dir = tmp("clean");
         let a = gen::ripple_carry_adder(4);
         let b = gen::carry_lookahead_adder(4);
-        let outcome = prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        let outcome = prove_and_emit(&dir, &a, &b, &options()).unwrap();
         assert!(outcome.is_equivalent());
-        let r = check_bundle(&dir, &LintOptions::default());
+        let r = check(&dir);
         assert!(r.is_clean(), "{:?}", r.diagnostics());
+        let m = Manifest::parse(&fs::read_to_string(dir.join(MANIFEST)).unwrap()).unwrap();
+        let listed: Vec<&str> = m.entries.iter().map(|(n, _)| *n).collect();
+        assert_eq!(listed, &ARTIFACTS[..6], "six artifacts, no cex");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn inequivalent_bundle_checks_clean_and_reverifies_the_counterexample() {
         let dir = tmp("ineq");
-        let a = gen::parity_chain(8);
-        let b = gen::mutate(&a, 7).expect("mutant");
-        let outcome = prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        let (a, b) = inequivalent_pair();
+        let outcome = prove_and_emit(&dir, &a, &b, &options()).unwrap();
         assert!(!outcome.is_equivalent());
-        let r = check_bundle(&dir, &LintOptions::default());
+        let r = check(&dir);
         assert!(r.is_clean(), "{:?}", r.diagnostics());
-
-        // Forge the verdict: claim equivalence over the SAT journal.
         let paths = BundlePaths::new(&dir);
+        assert!(paths.cex().is_file() && !paths.proof().exists());
+
+        // Forge the verdict: claim equivalence over the SAT-side evidence.
         let text = fs::read_to_string(paths.manifest()).unwrap();
         fs::write(
             paths.manifest(),
             text.replace("\"inequivalent\"", "\"equivalent\""),
         )
         .unwrap();
-        let r = check_bundle(&dir, &LintOptions::default());
+        let r = check(&dir);
         assert!(r.has("XB011"), "{:?}", r.diagnostics());
+        assert!(messages(&r).contains("must list `proof.tc`"), "{r:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_distinguishing_counterexample_is_rejected() {
+        let dir = tmp("cex-swap");
+        let (a, b) = inequivalent_pair();
+        prove_and_emit(&dir, &a, &b, &options()).unwrap();
+        let agreeing = (0u32..1 << a.num_inputs())
+            .map(|bits| {
+                (0..a.num_inputs())
+                    .map(|i| bits >> i & 1 == 1)
+                    .collect::<Vec<bool>>()
+            })
+            .find(|p| a.evaluate(p) == b.evaluate(p))
+            .expect("the circuits agree somewhere");
+        fs::write(BundlePaths::new(&dir).cex(), write_cex(&agreeing)).unwrap();
+        forge_manifest(&dir, |_| {});
+        let r = check(&dir);
+        assert!(r.has("XB011"), "{:?}", r.diagnostics());
+        assert!(!r.has("XB010"), "re-fingerprinted: {:?}", r.diagnostics());
+        assert!(messages(&r).contains("does not distinguish"), "{r:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_share_structure_breaks_the_miter_binding() {
+        let dir = tmp("share");
+        let a = gen::ripple_carry_adder(4);
+        let b = gen::kogge_stone_adder(4);
+        prove_and_emit(&dir, &a, &b, &options()).unwrap();
+        forge_manifest(&dir, |m| m.share_structure = !m.share_structure);
+        let r = check(&dir);
+        assert!(!r.is_clean(), "flipped share_structure accepted");
+        assert!(
+            ["XB001", "XB002", "XB003"].iter().any(|c| r.has(c)),
+            "{:?}",
+            r.diagnostics()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn equivalent_bundle_cannot_carry_a_cex_or_drop_its_proof() {
+        let dir = tmp("evidence");
+        let a = gen::ripple_carry_adder(3);
+        let b = gen::brent_kung_adder(3);
+        prove_and_emit(&dir, &a, &b, &options()).unwrap();
+        let paths = BundlePaths::new(&dir);
+        let pristine = fs::read(paths.manifest()).unwrap();
+
+        fs::write(paths.cex(), write_cex(&vec![false; a.num_inputs()])).unwrap();
+        forge_manifest(&dir, |m| m.entries.push(("cex", String::new())));
+        let r = check(&dir);
+        assert!(r.has("XB011"), "{:?}", r.diagnostics());
+        assert!(messages(&r).contains("must not carry `cex`"), "{r:?}");
+        fs::remove_file(paths.cex()).unwrap();
+        fs::write(paths.manifest(), &pristine).unwrap();
+        assert!(check(&dir).is_clean());
+
+        fs::remove_file(paths.proof()).unwrap();
+        forge_manifest(&dir, |m| m.entries.retain(|(n, _)| *n != "proof.tc"));
+        let r = check(&dir);
+        assert!(r.has("XB011"), "{:?}", r.diagnostics());
+        assert!(messages(&r).contains("must list `proof.tc`"), "{r:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -570,15 +775,15 @@ mod tests {
         let dir = tmp("flip");
         let a = gen::ripple_carry_adder(4);
         let b = gen::kogge_stone_adder(4);
-        prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        prove_and_emit(&dir, &a, &b, &options()).unwrap();
         let paths = BundlePaths::new(&dir);
-        for name in ARTIFACTS {
+        for name in ARTIFACTS.iter().filter(|n| paths.file(n).exists()) {
             let path = paths.file(name);
             let original = fs::read(&path).unwrap();
             let mut bytes = original.clone();
             corrupt(&mut bytes, FaultMode::Flip, 1);
             fs::write(&path, &bytes).unwrap();
-            let r = check_bundle(&dir, &LintOptions::default());
+            let r = check(&dir);
             assert!(!r.is_clean(), "flip in {name} accepted");
             assert!(r.has("XB010"), "flip in {name}: {:?}", r.diagnostics());
             fs::write(&path, &original).unwrap();
@@ -588,7 +793,7 @@ mod tests {
         let mut bytes = original.clone();
         corrupt(&mut bytes, FaultMode::Truncate, 3);
         fs::write(paths.manifest(), &bytes).unwrap();
-        let r = check_bundle(&dir, &LintOptions::default());
+        let r = check(&dir);
         assert!(!r.is_clean(), "truncated manifest accepted");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -598,63 +803,61 @@ mod tests {
         let dir = tmp("missing");
         let a = gen::ripple_carry_adder(3);
         let b = gen::brent_kung_adder(3);
-        prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        prove_and_emit(&dir, &a, &b, &options()).unwrap();
         let paths = BundlePaths::new(&dir);
 
         let saved = fs::read(paths.certificate()).unwrap();
         fs::remove_file(paths.certificate()).unwrap();
-        let r = check_bundle(&dir, &LintOptions::default());
+        let r = check(&dir);
         assert!(r.has("XB011"), "{:?}", r.diagnostics());
         fs::write(paths.certificate(), &saved).unwrap();
 
         // Hide an artifact from the manifest: on-disk but unlisted.
-        let text = fs::read_to_string(paths.manifest()).unwrap();
-        let doc = json::parse(&text).unwrap();
-        let Value::Object(mut members) = doc else {
-            panic!("manifest is an object")
-        };
-        for (k, v) in &mut members {
-            if k == "entries" {
-                let Value::Array(entries) = v else {
-                    panic!("entries is an array")
-                };
-                entries.retain(|e| e.get("file").and_then(Value::as_str) != Some("cert.cert"));
-            }
-        }
-        fs::write(paths.manifest(), format!("{}\n", Value::Object(members))).unwrap();
-        let r = check_bundle(&dir, &LintOptions::default());
+        forge_manifest(&dir, |m| m.entries.retain(|(n, _)| *n != "proof.drat"));
+        let r = check(&dir);
         assert!(r.has("XB011"), "{:?}", r.diagnostics());
+        assert!(messages(&r).contains("not in the manifest"), "{r:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn crash_during_emit_resumes_to_a_clean_bundle() {
-        let dir = tmp("crash");
+    fn uncommitted_bundle_is_rejected_and_a_rerun_commits_it() {
+        let dir = tmp("uncommitted");
         let a = gen::popcount_serial(6);
         let b = gen::popcount_csa(6);
-        let crash = CrashPoint::parse("sweep", cec::CrashMode::Error).unwrap();
-        let err = prove_and_emit(&dir, &a, &b, &options(), Some(crash), false).unwrap_err();
-        assert!(
-            matches!(err, EmitError::Engine(CecError::CrashInjected { .. })),
-            "{err}"
-        );
-        // No manifest yet: the checker rejects the half-written bundle.
-        let r = check_bundle(&dir, &LintOptions::default());
-        assert!(!r.is_clean());
+        prove_and_emit(&dir, &a, &b, &options()).unwrap();
+        let paths = BundlePaths::new(&dir);
+        // A crash before the commit: every artifact, a half-written
+        // temp manifest, no manifest.
+        fs::remove_file(paths.manifest()).unwrap();
+        fs::write(paths.file("manifest.json.tmp"), b"{\"format\":2,").unwrap();
+        let r = check(&dir);
+        assert!(r.has("XB011"), "{:?}", r.diagnostics());
 
-        let outcome = prove_and_emit(&dir, &a, &b, &options(), None, true).unwrap();
+        let outcome = prove_and_emit(&dir, &a, &b, &options()).unwrap();
         assert!(outcome.is_equivalent());
-        let r = check_bundle(&dir, &LintOptions::default());
+        let r = check(&dir);
+        assert!(r.is_clean(), "{:?}", r.diagnostics());
+        assert!(!paths.file("manifest.json.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rerun_with_another_verdict_drops_stale_artifacts() {
+        let dir = tmp("rerun");
+        let (a, b) = inequivalent_pair();
+        prove_and_emit(&dir, &a, &b, &options()).unwrap();
+        let outcome = prove_and_emit(&dir, &a, &gen::parity_tree(8), &options()).unwrap();
+        assert!(outcome.is_equivalent());
+        assert!(!BundlePaths::new(&dir).cex().exists());
+        let r = check(&dir);
         assert!(r.is_clean(), "{:?}", r.diagnostics());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checker_survives_a_nonexistent_directory() {
-        let r = check_bundle(
-            Path::new("/nonexistent/chaos-bundle"),
-            &LintOptions::default(),
-        );
+        let r = check(Path::new("/nonexistent/chaos-bundle"));
         assert!(!r.is_clean());
         assert!(r.has("XB011"));
     }

@@ -1,17 +1,14 @@
 //! Randomized long-horizon workload driver.
 //!
-//! One *op* is the full durability loop: generate an equivalent circuit
-//! pair → prove it with a journaled engine run → emit and check the
-//! bundle → mutate one circuit → re-prove → check that the verdict
-//! matches exhaustive ground truth and that the mutant's bundle checks
-//! clean too. Everything is a pure function of the workload seed, so a
-//! failing op replays exactly; `crash_every` additionally interrupts
-//! every n-th op at a random phase and resumes it, folding the
-//! crash-recovery path into the same stream.
+//! One *op* is the full audit loop: generate an equivalent circuit
+//! pair → prove it → emit and check the bundle → mutate one circuit →
+//! re-prove → check that the verdict matches exhaustive ground truth
+//! and that the mutant's bundle checks clean too. Everything is a pure
+//! function of the workload seed, so a failing op replays exactly.
 
-use crate::bundle::{check_bundle, prove_and_emit, EmitError};
+use crate::bundle::{check_bundle, prove_and_emit};
 use aig::{gen, Aig};
-use cec::{CecError, CecOutcome, CrashMode, CrashPoint, EngineConfig};
+use cec::{CecOutcome, EngineConfig};
 use lint::LintOptions;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -86,9 +83,6 @@ pub struct WorkloadOptions {
     pub ops: usize,
     /// Engine thread count (1 = sequential sweep).
     pub threads: usize,
-    /// Interrupt every n-th op (1-based) with an injected crash at a
-    /// random phase, then resume it. `0` disables crash injection.
-    pub crash_every: usize,
     /// Keep every op's bundle directories on disk. By default only
     /// failing ops are kept (for post-mortem).
     pub keep: bool,
@@ -100,7 +94,6 @@ impl Default for WorkloadOptions {
             seed: 1,
             ops: 10,
             threads: 1,
-            crash_every: 0,
             keep: false,
         }
     }
@@ -115,8 +108,6 @@ pub struct WorkloadReport {
     pub equivalent: usize,
     /// Inequivalent verdicts observed (effective mutants).
     pub inequivalent: usize,
-    /// Injected crashes that fired and were resumed.
-    pub crashes: usize,
     /// Human-readable failure accounts, empty on success.
     pub failures: Vec<String>,
 }
@@ -129,32 +120,17 @@ impl WorkloadReport {
     }
 }
 
-/// One proved-and-checked bundle, optionally via a crash + resume.
+/// One proved-and-checked bundle.
 fn prove_checked(
     dir: &Path,
     a: &Aig,
     b: &Aig,
     options: &EngineConfig,
-    crash: Option<&CrashPoint>,
     report: &mut WorkloadReport,
     what: &str,
 ) -> Option<CecOutcome> {
-    let outcome = match prove_and_emit(dir, a, b, options, crash.cloned(), false) {
-        Ok(outcome) => {
-            // The crash phase may simply not occur on this run (e.g.
-            // `trim` on an inequivalent pair); completing is fine.
-            outcome
-        }
-        Err(EmitError::Engine(CecError::CrashInjected { .. })) => {
-            report.crashes += 1;
-            match prove_and_emit(dir, a, b, options, None, true) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    report.failures.push(format!("{what}: resume failed: {e}"));
-                    return None;
-                }
-            }
-        }
+    let outcome = match prove_and_emit(dir, a, b, options) {
+        Ok(outcome) => outcome,
         Err(e) => {
             report.failures.push(format!("{what}: prove failed: {e}"));
             return None;
@@ -171,7 +147,7 @@ fn prove_checked(
     Some(outcome)
 }
 
-/// Runs `options.ops` randomized durability ops under `dir`.
+/// Runs `options.ops` randomized audit ops under `dir`.
 ///
 /// Never panics on workload failures — every violated expectation is a
 /// line in [`WorkloadReport::failures`]. Bundles of clean ops are
@@ -193,33 +169,8 @@ pub fn run_workload(dir: &Path, options: &WorkloadOptions) -> WorkloadReport {
             seed: rng.gen(),
             ..EngineConfig::default()
         };
-        let crash = if options.crash_every > 0 && (op + 1) % options.crash_every == 0 {
-            let phase = *cec::journal::PHASES.choose(&mut rng).expect("non-empty");
-            // "round" checkpoints only exist in parallel sweeps.
-            let phase = if phase == "round" && options.threads <= 1 {
-                "sweep"
-            } else {
-                phase
-            };
-            Some(CrashPoint {
-                phase: phase.to_string(),
-                hit: 1,
-                mode: CrashMode::Error,
-            })
-        } else {
-            None
-        };
-
         let base_dir = dir.join(format!("op{op:04}"));
-        if let Some(outcome) = prove_checked(
-            &base_dir,
-            &a,
-            &b,
-            &cec_options,
-            crash.as_ref(),
-            &mut report,
-            &what,
-        ) {
+        if let Some(outcome) = prove_checked(&base_dir, &a, &b, &cec_options, &mut report, &what) {
             if outcome.is_equivalent() {
                 report.equivalent += 1;
             } else {
@@ -238,7 +189,6 @@ pub fn run_workload(dir: &Path, options: &WorkloadOptions) -> WorkloadReport {
                 &a,
                 &mutant,
                 &cec_options,
-                None,
                 &mut report,
                 &format!("{what} mutant"),
             ) {
@@ -310,13 +260,11 @@ mod tests {
         let options = WorkloadOptions {
             seed: 7,
             ops: 3,
-            crash_every: 2,
             ..WorkloadOptions::default()
         };
         let r1 = run_workload(&dir, &options);
         assert!(r1.is_clean(), "{:?}", r1.failures);
         assert_eq!(r1.ops, 3);
-        assert!(r1.crashes >= 1, "crash_every=2 over 3 ops must fire");
         // Clean ops clean up after themselves.
         let leftovers = fs::read_dir(&dir).map_or(0, Iterator::count);
         assert_eq!(leftovers, 0);
@@ -324,7 +272,6 @@ mod tests {
         let r2 = run_workload(&dir, &options);
         assert_eq!(r1.equivalent, r2.equivalent);
         assert_eq!(r1.inequivalent, r2.inequivalent);
-        assert_eq!(r1.crashes, r2.crashes);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,36 +1,34 @@
-//! `rchaos` — the adversarial durability harness on the command line.
+//! `rchaos` — the adversarial audit harness on the command line.
 //!
 //! ```text
 //! rchaos gen     --dir=D --pair=NAME [--width=W]
-//! rchaos prove   --dir=D [--threads=N] [--seed=N] [--resume]
-//!                [--crash=PHASE[:HIT]] [--abort-at=PHASE[:HIT]]
+//! rchaos prove   --dir=D [--threads=N] [--seed=N]
 //! rchaos check   --dir=D [--fast] [--json]
 //! rchaos corrupt --dir=D --artifact=FILE --mode=flip|multiflip|truncate|torn-record
 //!                [--seed=N]
-//! rchaos run     --dir=D [--seed=N] [--ops=N] [--threads=N]
-//!                [--crash-every=N] [--keep]
+//! rchaos run     --dir=D [--seed=N] [--ops=N] [--threads=N] [--keep]
 //! rchaos pairs
 //! ```
 //!
 //! `gen` writes an equivalent circuit pair (`a.aag`, `b.aag`) into a
-//! bundle directory; `prove` runs one journaled engine check over it
-//! and emits the full artifact bundle plus manifest. `--crash` injects
-//! a typed in-process crash at the named phase checkpoint;
-//! `--abort-at` is the kill-9 variant — the process dies with SIGABRT
-//! and the synced journal is what survives. Either way,
-//! `prove --resume` validates the journal and continues to the same
-//! verdict, proof, and journal bytes an uninterrupted run produces.
+//! bundle directory; `prove` runs one engine check over the pair in the
+//! directory and emits the bundle: the miter CNF, then the proofs and
+//! certificate (equivalent) or the counterexample `cex`
+//! (inequivalent), committed last by an atomically written
+//! `manifest.json`. A `prove` that dies before the commit leaves no
+//! manifest; rerunning it completes the bundle.
 //!
 //! `corrupt` applies one seeded fault to a named artifact; `check` is
 //! the paired adversarial checker — it verifies every manifest
-//! fingerprint, re-parses and lints each artifact, and cross-links
-//! proof, CNF, certificate, and journal verdict. `run` executes a
+//! fingerprint, enforces the verdict from the artifacts present,
+//! re-parses and lints each artifact, re-simulates the counterexample,
+//! and cross-links proof, CNF, certificate and miter. `run` executes a
 //! randomized workload stream of generate → prove → check → mutate →
 //! re-prove ops (see `chaos::run_workload`).
 //!
 //! Exit codes: `prove` 0 equivalent / 1 inequivalent; `check` 0 clean /
 //! 1 rejected; `run` 0 all ops clean / 1 failures; anything else
-//! (usage, I/O, injected crash) 2.
+//! (usage, I/O) 2.
 
 use cec_tools::{exit, Args};
 use chaos::{check_bundle, corrupt, prove_and_emit, BundlePaths, FaultMode};
@@ -67,20 +65,7 @@ fn run() -> Result<i32, String> {
     let args = Args::parse(
         std::env::args().skip(1),
         &[
-            "dir",
-            "pair",
-            "width",
-            "threads",
-            "seed",
-            "resume",
-            "crash",
-            "abort-at",
-            "fast",
-            "json",
-            "artifact",
-            "mode",
-            "ops",
-            "crash-every",
+            "dir", "pair", "width", "threads", "seed", "fast", "json", "artifact", "mode", "ops",
             "keep",
         ],
     )
@@ -143,16 +128,7 @@ fn cmd_prove(args: &Args) -> Result<i32, String> {
         seed: parse_u64(args, "seed", 1)?,
         ..cec::EngineConfig::default()
     };
-    let crash = match (args.value("crash"), args.value("abort-at")) {
-        (Some(_), Some(_)) => {
-            return Err("--crash and --abort-at are mutually exclusive".into());
-        }
-        (Some(spec), None) => Some(cec::CrashPoint::parse(spec, cec::CrashMode::Error)?),
-        (None, Some(spec)) => Some(cec::CrashPoint::parse(spec, cec::CrashMode::Abort)?),
-        (None, None) => None,
-    };
-    let outcome = prove_and_emit(&paths.dir, &a, &b, &options, crash, args.has("resume"))
-        .map_err(|e| e.to_string())?;
+    let outcome = prove_and_emit(&paths.dir, &a, &b, &options).map_err(|e| e.to_string())?;
     if outcome.is_equivalent() {
         println!("EQUIVALENT");
         Ok(exit::OK)
@@ -214,17 +190,15 @@ fn cmd_run(args: &Args) -> Result<i32, String> {
         seed: parse_u64(args, "seed", 1)?,
         ops: parse_u64(args, "ops", 10)? as usize,
         threads: parse_u64(args, "threads", 1)? as usize,
-        crash_every: parse_u64(args, "crash-every", 0)? as usize,
         keep: args.has("keep"),
     };
     fs::create_dir_all(&paths.dir).map_err(|e| format!("{}: {e}", paths.dir.display()))?;
     let report = chaos::run_workload(&paths.dir, &options);
     println!(
-        "{} ops: {} equivalent, {} inequivalent, {} crashes resumed, {} failures",
+        "{} ops: {} equivalent, {} inequivalent, {} failures",
         report.ops,
         report.equivalent,
         report.inequivalent,
-        report.crashes,
         report.failures.len()
     );
     for f in &report.failures {

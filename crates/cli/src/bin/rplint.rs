@@ -2,7 +2,7 @@
 //! netlists, DRAT traces, and cross-artifact certification bundles.
 //!
 //! ```text
-//! rplint FILE... [--kind=proof|cnf|aig|drat|cert|journal] [--fast]
+//! rplint FILE... [--kind=proof|cnf|aig|drat|cert] [--fast]
 //!                [--refutation] [--json] [--quiet]
 //! rplint PROOF --fix [--fix-out=FILE] [--quiet]
 //! rplint --list
@@ -10,9 +10,9 @@
 //!
 //! The artifact kind is inferred from the extension (`.cnf`/`.dimacs` →
 //! CNF, `.aag`/`.aig` → AIG, `.drat` → DRAT, `.cert` → certificate
-//! metadata, `.journal` → durability run-state journal, anything else →
-//! TraceCheck proof) unless `--kind` overrides it; an unknown `--kind`
-//! is a usage error (exit 2), never a silent default.
+//! metadata, anything else → TraceCheck proof) unless `--kind`
+//! overrides it; an unknown `--kind` is a usage error (exit 2), never a
+//! silent default.
 //!
 //! **Bundle mode.** When the files span more than one kind, they are
 //! treated as one certification bundle: each file is linted on its own
@@ -65,7 +65,6 @@ enum Kind {
     Aig,
     Drat,
     Cert,
-    Journal,
 }
 
 impl Kind {
@@ -76,7 +75,6 @@ impl Kind {
             Kind::Aig => "aig",
             Kind::Drat => "drat",
             Kind::Cert => "cert",
-            Kind::Journal => "journal",
         }
     }
 }
@@ -94,8 +92,6 @@ fn kind_of(path: &str, forced: Option<Kind>) -> Kind {
         Kind::Drat
     } else if lower.ends_with(".cert") {
         Kind::Cert
-    } else if lower.ends_with(".journal") {
-        Kind::Journal
     } else {
         Kind::Proof
     }
@@ -112,11 +108,6 @@ fn list_registry() {
         (lint::Artifact::Aig, "AG", "AIG netlists (AIGER)"),
         (lint::Artifact::Bundle, "XB", "cross-artifact bundles"),
         (lint::Artifact::Drat, "DR", "DRAT clausal proofs"),
-        (
-            lint::Artifact::Journal,
-            "JN",
-            "durability run-state journals",
-        ),
         (
             lint::Artifact::Analysis,
             "AN",
@@ -159,7 +150,7 @@ fn run() -> Result<i32, String> {
     }
     if args.positional.is_empty() {
         return Err(
-            "usage: rplint FILE... [--kind=proof|cnf|aig|drat|cert|journal] [--fast] \
+            "usage: rplint FILE... [--kind=proof|cnf|aig|drat|cert] [--fast] \
              [--refutation] [--json] [--quiet] | rplint PROOF --fix \
              [--fix-out=FILE] | rplint --list"
                 .into(),
@@ -172,12 +163,7 @@ fn run() -> Result<i32, String> {
         Some("aig") => Some(Kind::Aig),
         Some("drat") => Some(Kind::Drat),
         Some("cert") => Some(Kind::Cert),
-        Some("journal") => Some(Kind::Journal),
-        Some(other) => {
-            return Err(format!(
-                "unknown kind `{other}` (proof|cnf|aig|drat|cert|journal)"
-            ))
-        }
+        Some(other) => return Err(format!("unknown kind `{other}` (proof|cnf|aig|drat|cert)")),
     };
     let mut opts = if args.has("fast") {
         lint::LintOptions::structural()
@@ -230,7 +216,6 @@ fn lint_one(path: &str, kind: Kind, opts: &lint::LintOptions) -> Result<lint::Re
             lint::lint_aig(&g, opts)
         }
         Kind::Drat => lint::lint_drat(r, None, opts).map_err(|e| format!("{path}: {e}"))?,
-        Kind::Journal => lint::lint_journal(r, opts).map_err(|e| format!("{path}: {e}"))?,
         Kind::Cert => {
             let text = std::io::read_to_string(&mut r).map_err(|e| format!("{path}: {e}"))?;
             let info = lint::CertificateInfo::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -333,9 +318,6 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
                 drat_file = Some(path.clone());
                 continue;
             }
-            // Journals have no cross-artifact pass here (that is
-            // `rchaos check`'s job); lint the file on its own.
-            Kind::Journal => lint::lint_journal(r, opts).map_err(|e| format!("{path}: {e}"))?,
         };
         if report.counts().errors > 0 {
             worst = exit::NEGATIVE;

@@ -1,7 +1,6 @@
-//! End-to-end tests of the `rchaos` durability harness binary: the
-//! gen → prove → check loop, crash injection in both modes (typed error
-//! and real process abort), resume-to-identical-bytes, fault injection
-//! with checker rejection, and the randomized workload driver.
+//! End-to-end tests of the `rchaos` audit harness binary: the gen →
+//! prove → check loop, fault injection with checker rejection, and the
+//! randomized workload driver.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -54,7 +53,7 @@ fn corrupted_artifacts_are_rejected_with_stable_codes() {
     for (artifact, mode) in [
         ("proof.tc", "flip"),
         ("miter.cnf", "multiflip"),
-        ("run.journal", "truncate"),
+        ("cert.cert", "truncate"),
         ("a.aag", "flip"),
     ] {
         let original = fs::read(dir.join(artifact)).unwrap();
@@ -79,70 +78,10 @@ fn corrupted_artifacts_are_rejected_with_stable_codes() {
 }
 
 #[test]
-fn crash_and_resume_reproduce_the_uninterrupted_bytes() {
-    let base = tmp("crash-base");
-    let crashed = tmp("crash-hit");
-    gen_prove(&base, "popcount", "6");
-
-    let dir_flag = format!("--dir={}", crashed.display());
-    let out = rchaos(&["gen", &dir_flag, "--pair=popcount", "--width=6"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let out = rchaos(&["prove", &dir_flag, "--crash=sweep"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("injected crash"),
-        "{out:?}"
-    );
-    let out = rchaos(&["prove", &dir_flag, "--resume"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-
-    for artifact in ["proof.tc", "run.journal", "manifest.json"] {
-        assert_eq!(
-            fs::read(base.join(artifact)).unwrap(),
-            fs::read(crashed.join(artifact)).unwrap(),
-            "{artifact} differs after crash+resume"
-        );
-    }
-    let out = rchaos(&["check", &dir_flag]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    fs::remove_dir_all(&base).unwrap();
-    fs::remove_dir_all(&crashed).unwrap();
-}
-
-#[test]
-fn kill_nine_mid_sweep_leaves_a_resumable_journal() {
-    let base = tmp("abort-base");
-    let aborted = tmp("abort-hit");
-    gen_prove(&base, "comparator", "5");
-
-    let dir_flag = format!("--dir={}", aborted.display());
-    let out = rchaos(&["gen", &dir_flag, "--pair=comparator", "--width=5"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    // --abort-at dies via process::abort — no exit code, a real SIGABRT.
-    let out = rchaos(&["prove", &dir_flag, "--abort-at=sim"]);
-    assert!(!out.status.success(), "{out:?}");
-    assert_ne!(out.status.code(), Some(1), "{out:?}");
-    assert_ne!(out.status.code(), Some(2), "{out:?}");
-
-    // The synced journal survives the kill and resumes to the same bytes.
-    let out = rchaos(&["prove", &dir_flag, "--resume"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    for artifact in ["proof.tc", "run.journal"] {
-        assert_eq!(
-            fs::read(base.join(artifact)).unwrap(),
-            fs::read(aborted.join(artifact)).unwrap(),
-            "{artifact} differs after abort+resume"
-        );
-    }
-    fs::remove_dir_all(&base).unwrap();
-    fs::remove_dir_all(&aborted).unwrap();
-}
-
-#[test]
 fn workload_run_is_clean_and_reports_counts() {
     let dir = tmp("run");
     let dir_flag = format!("--dir={}", dir.display());
-    let out = rchaos(&["run", &dir_flag, "--ops=2", "--seed=3", "--crash-every=2"]);
+    let out = rchaos(&["run", &dir_flag, "--ops=2", "--seed=3"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("2 ops"), "{text}");
@@ -162,6 +101,7 @@ fn usage_errors_exit_two() {
             "--mode=flip",
         ][..],
         &["prove", "--dir=/nonexistent-rchaos"][..],
+        &["prove", "--dir=/tmp/x", "--resume"][..],
     ] {
         let out = rchaos(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -169,43 +109,30 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
-fn rplint_lints_journals_and_lists_the_jn_family() {
-    let dir = tmp("rplint");
-    gen_prove(&dir, "adder", "3");
-    let journal = dir.join("run.journal");
-    let out = Command::new(env!("CARGO_BIN_EXE_rplint"))
-        .arg(journal.to_str().unwrap())
-        .output()
-        .expect("binary launches");
+fn inequivalent_bundle_carries_a_checked_counterexample() {
+    let dir = tmp("ineq");
+    let dir_flag = format!("--dir={}", dir.display());
+    let out = rchaos(&["gen", &dir_flag, "--pair=adder", "--width=4"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("journal: 0 errors"),
-        "{out:?}"
-    );
+    // Swap b's first two outputs (the lines after the header and the
+    // input lines of `aag M I L O A`).
+    let text = fs::read_to_string(dir.join("b.aag")).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let inputs: usize = lines[0].split(' ').nth(2).unwrap().parse().unwrap();
+    lines.swap(1 + inputs, 2 + inputs);
+    fs::write(dir.join("b.aag"), lines.join("\n") + "\n").unwrap();
 
-    // Mid-file damage flips the exit code and names a JN code.
-    let text = fs::read_to_string(&journal).unwrap();
-    let damaged = text.replacen("checkpoint", "checkpoinX", 1);
-    fs::write(&journal, damaged).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_rplint"))
-        .arg(journal.to_str().unwrap())
-        .output()
-        .expect("binary launches");
+    let out = rchaos(&["prove", &dir_flag]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("JN002"),
-        "{out:?}"
-    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("NOT EQUIVALENT"));
+    assert!(dir.join("cex").is_file() && !dir.join("proof.tc").exists());
+    let out = rchaos(&["check", &dir_flag]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_rplint"))
-        .arg("--list")
-        .output()
-        .expect("binary launches");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("JN — durability run-state journals"),
-        "{text}"
-    );
-    assert!(text.contains("JN005"), "{text}");
+    let out = rchaos(&["corrupt", &dir_flag, "--artifact=cex", "--mode=flip"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = rchaos(&["check", &dir_flag, "--json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("XB010"));
     fs::remove_dir_all(&dir).unwrap();
 }

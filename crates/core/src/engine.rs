@@ -25,15 +25,13 @@
 //! checkable by `proof::check::check_refutation` with no knowledge of
 //! the engine.
 
-use crate::journal::Durable;
 use crate::miter::Miter;
-use crate::outcome::{CecError, EngineStats, WorkerStats};
+use crate::outcome::{EngineStats, WorkerStats};
 use crate::session::{EngineConfig, SharedContext};
 use crate::sim::SimClasses;
 use aig::{Aig, NodeId};
 use cnf::tseitin::Partition;
 use cnf::{Lit, Var};
-use obs::json::Value;
 use obs::metrics::{self, Metrics};
 use obs::{worker_tid, ArgVal, Recorder, TID_COORDINATOR};
 use proof::{ClauseId, StepRole};
@@ -103,11 +101,7 @@ pub fn reduce_with_stats(
     let mut sweep = Sweep::new(graph, &local, ctx, None);
     sweep.stats.miter_nodes = graph.len();
     sweep.stats.circuit_nodes = graph.len();
-    // A disabled durable never journals and never crashes, so the sweep
-    // cannot fail here.
-    sweep
-        .sweep(&mut Durable::disabled())
-        .expect("disabled durable cannot fail");
+    sweep.sweep();
     // Rebuild the graph over representatives.
     let mut out = Aig::with_capacity(graph.len());
     let mut map: Vec<aig::Lit> = vec![aig::Lit::FALSE; graph.len()];
@@ -804,43 +798,18 @@ impl<'g> Sweep<'g> {
         );
     }
 
-    /// Checkpoints the seeded simulation classes.
-    fn sim_checkpoint(&self, classes: &SimClasses, durable: &mut Durable) -> Result<(), CecError> {
-        durable.checkpoint(
-            "sim",
-            &[
-                ("classes", Value::U64(classes.num_classes() as u64)),
-                ("candidates", Value::U64(classes.num_candidates() as u64)),
-            ],
-        )
-    }
-
-    /// Checkpoints the end-of-sweep state shared by both sweep modes.
-    fn sweep_checkpoint(&mut self, durable: &mut Durable) -> Result<(), CecError> {
-        let proof_len = self.sat.solver.proof().map_or(0, |p| p.len() as u64);
-        durable.checkpoint(
-            "sweep",
-            &[
-                ("lemmas", Value::U64(self.stats.lemmas)),
-                ("sat_calls", Value::U64(self.stats.sat_calls)),
-                ("refinements", Value::U64(self.stats.refinements)),
-                ("proof_len", Value::U64(proof_len)),
-            ],
-        )
-    }
-
     /// The sweeping phase: the sequential sweep with one thread, the
     /// round-based parallel sweep with more, timed into
     /// [`PhaseTimes::sweep`](crate::outcome::PhaseTimes::sweep) and traced
     /// as the `sweep` span. A no-op when sweeping is off. Either way it
     /// leaves the global solver unbudgeted for the final miter solve.
-    pub(crate) fn sweep(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+    pub(crate) fn sweep(&mut self) {
         if self.config.sweep {
             let start = Instant::now();
             if self.config.threads > 1 {
-                self.run_parallel(durable)?;
+                self.run_parallel();
             } else {
-                self.run(durable)?;
+                self.run();
             }
             let elapsed = start.elapsed();
             self.ctx
@@ -852,7 +821,6 @@ impl<'g> Sweep<'g> {
         }
         // Pair budgets must not bind the final miter solve.
         self.sat.solver.set_conflict_budget(None);
-        Ok(())
     }
 
     /// Records the proven merge `n ≡ root ^ phase` with its two lemmas.
@@ -887,9 +855,8 @@ impl<'g> Sweep<'g> {
 
     /// The classical sequential sweep: one topological pass discharging
     /// each node against its class leader on the global solver.
-    fn run(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+    fn run(&mut self) {
         let mut classes = self.simulate_classes();
-        self.sim_checkpoint(&classes, durable)?;
         let watch_queues = self.ctx.metrics.is_enabled();
         if watch_queues {
             #[allow(clippy::cast_possible_wrap)]
@@ -953,7 +920,6 @@ impl<'g> Sweep<'g> {
 
         let tally = self.sat.take_tally();
         self.absorb(&tally);
-        self.sweep_checkpoint(durable)
     }
 
     /// The round-based parallel sweep.
@@ -990,10 +956,9 @@ impl<'g> Sweep<'g> {
     /// candidate work (merged/skipped nodes leave their classes; each
     /// applied refutation either splits a class or was subsumed by an
     /// earlier split this round), so the loop terminates.
-    fn run_parallel(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+    fn run_parallel(&mut self) {
         let threads = self.config.threads;
         let mut classes = self.simulate_classes();
-        self.sim_checkpoint(&classes, durable)?;
         self.stats.workers = vec![WorkerStats::default(); threads];
 
         let num_vars = self.sat.solver.num_vars();
@@ -1045,10 +1010,8 @@ impl<'g> Sweep<'g> {
             .collect();
 
         // The worker threads are spawned once and fed one job per round
-        // (thread creation is far too slow to pay per round). An early
-        // return (injected crash, journal failure) drops the job senders
-        // on the way out, so the scope still joins the workers cleanly.
-        let rounds: Result<(), CecError> = std::thread::scope(|scope| {
+        // (thread creation is far too slow to pay per round).
+        std::thread::scope(|scope| {
             let mut to_worker = Vec::with_capacity(threads);
             let mut from_worker = Vec::with_capacity(threads);
             for w in 0..threads {
@@ -1295,31 +1258,16 @@ impl<'g> Sweep<'g> {
                         .stitch_boundaries
                         .push(u32::try_from(p.len()).expect("proof fits u32 ids"));
                 }
-                let proof_len = self.sat.solver.proof().map_or(0, |p| p.len() as u64);
-                durable.checkpoint(
-                    "round",
-                    &[
-                        ("round", Value::U64(self.stats.rounds)),
-                        ("pairs", Value::U64(pairs.len() as u64)),
-                        ("lemmas", Value::U64(self.stats.lemmas)),
-                        ("refinements", Value::U64(self.stats.refinements)),
-                        ("proof_len", Value::U64(proof_len)),
-                        ("feed_len", Value::U64(feed.len() as u64)),
-                    ],
-                )?;
             }
             // Dropping the job senders ends the worker loops; the scope
             // joins the threads.
             drop(to_worker);
-            Ok(())
         });
-        rounds?;
         // The workers' solvers go away with their states; their counters
         // join the top-level solver block.
         for state in states.into_iter().flatten() {
             self.stats.solver += *state.sat.solver.stats();
         }
-        self.sweep_checkpoint(durable)
     }
 
     /// If `n`'s rep-normalized structure matches an already-processed
@@ -1550,7 +1498,7 @@ fn structure_key(a: Lit, b: Lit) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::CecOutcome;
+    use crate::outcome::{CecError, CecOutcome};
     use crate::session::Session;
     use aig::gen::{
         carry_select_adder, kogge_stone_adder, mutate, parity_chain, parity_tree,
@@ -1859,7 +1807,7 @@ mod tests {
                 };
                 let mut sweep = Sweep::new(&miter.graph, &config, &ctx, None);
                 let before = sweep.sat.solver.stats().propagations;
-                sweep.sweep(&mut Durable::disabled()).unwrap();
+                sweep.sweep();
                 // `finish` adds the global solver's counters to the
                 // parallel workers' already folded in.
                 let stats = sweep.finish();

@@ -41,7 +41,6 @@
 
 pub mod bdd_baseline;
 mod engine;
-pub mod journal;
 mod miter;
 pub mod monolithic;
 mod outcome;
@@ -50,7 +49,6 @@ mod sim;
 mod stats_json;
 
 pub use engine::{miter_cnf, reduce, reduce_with_stats};
-pub use journal::{CrashMode, CrashPoint, Durable};
 pub use miter::Miter;
 pub use outcome::{
     CecError, CecOutcome, Certificate, Counterexample, EngineStats, PhaseTimes, SatWork,

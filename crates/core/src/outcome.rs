@@ -376,31 +376,6 @@ pub enum CecError {
     /// The claimed counterexample does not distinguish the circuits —
     /// an engine bug, never the caller's fault.
     BogusCounterexample(Counterexample),
-    /// An injected crash fired at the named phase checkpoint. Only ever
-    /// produced when the caller armed a [`crate::journal::CrashPoint`];
-    /// the write-ahead journal is synced up to this checkpoint, so a
-    /// subsequent resume continues from it.
-    CrashInjected {
-        /// The phase whose checkpoint fired (`"miter"`, `"sim"`,
-        /// `"round"`, `"sweep"`, `"final_solve"`, `"trim"`).
-        phase: String,
-        /// 1-based occurrence of that phase at which the crash fired.
-        hit: u32,
-    },
-    /// The write-ahead journal could not be written, read, or trusted
-    /// (I/O failure, mid-file corruption, or a header that does not
-    /// match the inputs/options being resumed).
-    Journal(String),
-    /// During resume, deterministic re-execution produced a checkpoint
-    /// that differs from the journaled record with the same sequence
-    /// number — the inputs, options, or journal are not what they claim
-    /// to be.
-    ReplayDivergence {
-        /// Sequence number of the mismatching journal record.
-        seq: u64,
-        /// Human-readable account of the mismatch.
-        detail: String,
-    },
 }
 
 impl fmt::Display for CecError {
@@ -418,13 +393,6 @@ impl fmt::Display for CecError {
                     f,
                     "claimed counterexample does not distinguish the circuits"
                 )
-            }
-            CecError::CrashInjected { phase, hit } => {
-                write!(f, "injected crash at phase `{phase}` (hit {hit})")
-            }
-            CecError::Journal(msg) => write!(f, "journal error: {msg}"),
-            CecError::ReplayDivergence { seq, detail } => {
-                write!(f, "resume diverged from journal at seq {seq}: {detail}")
             }
         }
     }

@@ -21,15 +21,13 @@
 //!   run concurrently over one context from different threads.
 //!
 //! A one-shot check is `Session::new(config, &SharedContext::disabled())`;
-//! [`crate::reduce`] and [`crate::Durable`] take the same two halves.
+//! [`crate::reduce_with_stats`] takes the same two halves.
 
 use crate::engine::{miter_cnf, Sweep};
-use crate::journal::Durable;
 use crate::miter::Miter;
 use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample};
 use aig::Aig;
 use cnf::tseitin::Partition;
-use obs::json::Value;
 use obs::metrics::Metrics;
 use obs::{Recorder, TID_COORDINATOR};
 use proof::ClauseId;
@@ -170,8 +168,7 @@ impl SharedContext {
 }
 
 /// One equivalence check bound to a [`SharedContext`]. Create one per
-/// query; run it with [`check`](Session::check) (or
-/// [`check_durable`](Session::check_durable) for journaled runs).
+/// query; run it with [`check`](Session::check).
 ///
 /// # Example
 ///
@@ -221,25 +218,6 @@ impl<'c> Session<'c> {
     /// [`CecError::ProofRejected`] / [`CecError::BogusCounterexample`]
     /// if the engine's own output fails independent validation.
     pub fn check(&self, a: &Aig, b: &Aig) -> Result<CecOutcome, CecError> {
-        self.check_durable(a, b, &mut Durable::disabled())
-    }
-
-    /// [`Session::check`] with a [`Durable`] run-state handle: phase
-    /// checkpoints are journaled (or, on resume, validated against the
-    /// journal's prefix) and any armed crash point fires at its phase.
-    /// With [`Durable::disabled`] this is exactly `check`.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Session::check`] reports, plus
-    /// [`CecError::CrashInjected`] / [`CecError::Journal`] /
-    /// [`CecError::ReplayDivergence`] from the durability machinery.
-    pub fn check_durable(
-        &self,
-        a: &Aig,
-        b: &Aig,
-        durable: &mut Durable,
-    ) -> Result<CecOutcome, CecError> {
         if a.num_inputs() != b.num_inputs() || a.num_outputs() != b.num_outputs() {
             return Err(CecError::InterfaceMismatch {
                 a: (a.num_inputs(), a.num_outputs()),
@@ -252,18 +230,10 @@ impl<'c> Session<'c> {
         let start = Instant::now();
         let m = &self.ctx.metrics;
         m.counter("cec.checks_started").inc();
-        durable.bind_metrics(m);
         let rec = &self.ctx.recorder;
         let miter = Miter::build(a, b, self.config.share_structure);
         let miter_time = start.elapsed();
         rec.complete("miter", TID_COORDINATOR, start, miter_time);
-        durable.checkpoint(
-            "miter",
-            &[
-                ("nodes", Value::U64(miter.graph.len() as u64)),
-                ("output", Value::U64(u64::from(miter.output.raw()))),
-            ],
-        )?;
         // Clause-side labels for interpolation are only meaningful when
         // no logic is shared across the two circuits.
         let boundary = (!self.config.share_structure).then_some(miter.a_boundary);
@@ -272,7 +242,7 @@ impl<'c> Session<'c> {
         sweep.stats.circuit_nodes = miter.circuit_nodes;
         sweep.stats.phases.miter = miter_time;
 
-        sweep.sweep(durable)?;
+        sweep.sweep();
 
         // Assert the miter output and ask for the final verdict.
         let out_lit = sweep.lit(miter.output);
@@ -289,17 +259,6 @@ impl<'c> Session<'c> {
             final_start,
             sweep.stats.phases.final_solve,
         );
-        durable.checkpoint(
-            "final_solve",
-            &[(
-                "result",
-                Value::str(match result {
-                    SolveResult::Sat => "sat",
-                    SolveResult::Unsat => "unsat",
-                    SolveResult::Unknown => "unknown",
-                }),
-            )],
-        )?;
         let mut stats = sweep.finish();
 
         match result {
@@ -323,7 +282,6 @@ impl<'c> Session<'c> {
                     stats.trimmed = Some(t.proof.stats());
                     stats.phases.trim = trim_start.elapsed();
                     rec.complete("trim", TID_COORDINATOR, trim_start, stats.phases.trim);
-                    durable.checkpoint("trim", &[("steps", Value::U64(t.proof.len() as u64))])?;
                     if self.config.lint_proof || self.config.lint_bundle {
                         let lint_start = Instant::now();
                         let lint_opts = lint::LintOptions {
@@ -360,14 +318,6 @@ impl<'c> Session<'c> {
                         rec.complete("lint", TID_COORDINATOR, lint_start, stats.phases.lint);
                     }
                 }
-                // The fingerprint only feeds the journal's verdict record.
-                let proof_hash = proof.as_ref().filter(|_| durable.is_enabled()).map(|p| {
-                    let mut bytes = Vec::new();
-                    proof::export::write_tracecheck(p, &mut bytes)
-                        .expect("write to Vec cannot fail");
-                    obs::hash::fnv1a64_hex(&bytes)
-                });
-                durable.verdict(true, proof_hash.as_deref(), None)?;
                 m.counter("cec.checks_completed").inc();
                 m.counter("cec.certificates_emitted").inc();
                 stats.elapsed = start.elapsed();
@@ -391,7 +341,6 @@ impl<'c> Session<'c> {
                 if self.config.verify && counterexample.outputs_a == counterexample.outputs_b {
                     return Err(CecError::BogusCounterexample(counterexample));
                 }
-                durable.verdict(false, None, Some(&counterexample.pattern))?;
                 m.counter("cec.checks_completed").inc();
                 m.counter("cec.counterexamples").inc();
                 stats.elapsed = start.elapsed();
@@ -408,6 +357,7 @@ impl<'c> Session<'c> {
 mod tests {
     use super::*;
     use aig::gen::{kogge_stone_adder, mutate, ripple_carry_adder};
+    use obs::json::Value;
 
     #[test]
     fn sessions_share_one_context() {

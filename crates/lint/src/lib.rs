@@ -18,9 +18,6 @@
 //! - [`lint_cnf`] / [`lint_aig`] — DIMACS formulas and AIG netlists;
 //! - [`lint_drat`] — a DRAT clausal proof file, optionally checked
 //!   against the formula it refutes;
-//! - [`lint_journal`] — a durability run-state journal (checksummed
-//!   JSONL), triaged leniently so a crashed run's journal reads as
-//!   healthy-but-unfinished while real corruption gets an error;
 //! - [`lint_bundle`] — the *cross-artifact* pass: an AIG, its Tseitin
 //!   CNF, the recorded proof, and the certificate metadata together,
 //!   checking that each layer actually binds to the next.
@@ -31,9 +28,10 @@
 //!
 //! Every lint is registered in [`REGISTRY`] with a stable code (`RPxxx`
 //! for proofs, `CFxxx` for CNF, `AGxxx` for AIG, `XBxxx` for bundles,
-//! `DRxxx` for DRAT files, `JNxxx` for journals). Codes in the `RP1xx` range perform *chain
-//! analysis* — they gather antecedent clause literals — while `RP0xx`
-//! codes are purely structural; the [`LintOptions::chain`] switch
+//! `DRxxx` for DRAT files, `ANxxx` for hardness analysis). Codes in the
+//! `RP1xx` range perform *chain analysis* — they gather antecedent
+//! clause literals — while `RP0xx` codes are purely structural; the
+//! [`LintOptions::chain`] switch
 //! selects between the fast structural pass and the full set (for DRAT
 //! it gates the expensive RUP replay of `DR002`). Reports render as
 //! text or JSON.
@@ -45,7 +43,6 @@ mod bundle_lints;
 mod cnf_lints;
 mod drat;
 mod fix;
-mod journal_lints;
 mod proof_lints;
 mod trace;
 
@@ -54,7 +51,6 @@ pub use bundle_lints::{lint_bundle, Bundle, CertificateInfo};
 pub use cnf_lints::lint_cnf;
 pub use drat::lint_drat;
 pub use fix::{fix_proof, FixResult, FixSummary};
-pub use journal_lints::lint_journal;
 pub use proof_lints::lint_proof;
 pub use trace::{lint_tracecheck, read_tracecheck};
 
@@ -105,8 +101,6 @@ pub enum Artifact {
     Bundle,
     /// A DRAT clausal proof file.
     Drat,
-    /// A durability run-state journal (checksummed JSONL).
-    Journal,
     /// A static hardness-analysis report over an instance (AIG and/or
     /// CNF). Analysis lints are advisory scheduling signals, not
     /// soundness findings.
@@ -122,7 +116,6 @@ impl Artifact {
             Artifact::Aig => "aig",
             Artifact::Bundle => "bundle",
             Artifact::Drat => "drat",
-            Artifact::Journal => "journal",
             Artifact::Analysis => "analysis",
         }
     }
@@ -244,20 +237,6 @@ lints! {
         "an added clause is already active verbatim (up to literal order)");
     DR005 = ("DR005", "no-refutation", Error, Drat, false,
         "the DRAT file claims to refute but never adds the empty clause");
-    JN001 = ("JN001", "parse-error", Error, Journal, false,
-        "a journal line is not a well-formed record (JSON damage or unknown record type)");
-    JN002 = ("JN002", "checksum-mismatch", Error, Journal, false,
-        "a record's body does not hash to its recorded checksum");
-    JN003 = ("JN003", "sequence-gap", Error, Journal, false,
-        "record sequence numbers are not the dense sequence 0, 1, 2, …");
-    JN004 = ("JN004", "missing-header", Error, Journal, false,
-        "the journal does not begin with a header record");
-    JN005 = ("JN005", "truncated-tail", Warn, Journal, false,
-        "the final line is torn (incomplete write) — consistent with a crash mid-record");
-    JN006 = ("JN006", "no-verdict", Info, Journal, false,
-        "the journal records no verdict — the run has not (yet) completed");
-    JN007 = ("JN007", "duplicate-header", Error, Journal, false,
-        "a header record appears after the first record");
     AN001 = ("AN001", "deep-xor-chain", Info, Analysis, false,
         "a long XOR chain (carry-save / parity reduction structure) dominates a cone");
     AN002 = ("AN002", "carry-chain", Info, Analysis, false,

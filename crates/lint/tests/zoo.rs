@@ -135,7 +135,8 @@ fn structural_pass_beats_full_replay_on_64bit_adder() {
     let p = cert.proof.as_ref().expect("proof recorded");
 
     // Warm both paths once so allocator and cache effects do not decide
-    // the comparison, then time each.
+    // the comparison, then time each as the minimum of five runs: the
+    // minimum is the run least disturbed by other load on the host.
     let opts = lint::LintOptions {
         expect_refutation: true,
         ..lint::LintOptions::structural()
@@ -144,15 +145,24 @@ fn structural_pass_beats_full_replay_on_64bit_adder() {
     assert_eq!(report.counts().errors, 0, "{:?}", report.diagnostics());
     proof::check::check_refutation(p).unwrap();
 
-    let lint_start = Instant::now();
-    let report = lint::lint_proof(p, &opts);
-    let lint_elapsed = lint_start.elapsed();
-    assert_eq!(report.counts().errors, 0);
-
-    let replay_start = Instant::now();
-    proof::check::check_refutation(p).unwrap();
-    proof::check::check_rup(p).unwrap();
-    let replay_elapsed = replay_start.elapsed();
+    let fastest = |run: &dyn Fn()| {
+        (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                run();
+                start.elapsed()
+            })
+            .min()
+            .expect("five runs")
+    };
+    let lint_elapsed = fastest(&|| {
+        let report = lint::lint_proof(p, &opts);
+        assert_eq!(report.counts().errors, 0);
+    });
+    let replay_elapsed = fastest(&|| {
+        proof::check::check_refutation(p).unwrap();
+        proof::check::check_rup(p).unwrap();
+    });
 
     assert!(
         lint_elapsed * 5 <= replay_elapsed,

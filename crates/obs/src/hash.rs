@@ -1,8 +1,8 @@
-//! Content hashing for durability artifacts.
+//! Content hashing for persisted artifacts.
 //!
 //! FNV-1a (64-bit) is the repo's canonical content fingerprint: fast,
 //! dependency-free, and stable across platforms. It guards *integrity*
-//! of persisted artifacts (journal records, bundle manifests), not
+//! of persisted artifacts (bundle manifests, cache keys), not
 //! adversarial tampering — the threat model is bit rot, torn writes,
 //! and fault injection, where any corruption must be *detected*, not
 //! cryptographically prevented.
@@ -21,7 +21,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// [`fnv1a64`] rendered as the canonical 16-digit lower-case hex string
-/// used in journals and manifests.
+/// used in bundle manifests.
 #[must_use]
 pub fn fnv1a64_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a64(bytes))

@@ -22,9 +22,6 @@
 //!   for per-call distributions (SAT conflicts per call, proof-chain
 //!   lengths per lemma).
 //! - [`hash`]: FNV-1a 64 content fingerprints for persisted artifacts.
-//! - [`journal`]: a checksummed JSONL write-ahead journal — the
-//!   durability substrate the engine's crash/resume machinery and the
-//!   chaos harness build on.
 //!
 //! # Thread model
 //!
@@ -59,7 +56,6 @@
 
 pub mod export;
 pub mod hash;
-pub mod journal;
 pub mod json;
 pub mod metrics;
 

@@ -40,7 +40,9 @@ const REGRESSIONS: &[&[u8]] = &[
     b"1 1 2 0 0\n2 -1 0 1 0\n",
     b"d 1 2 3 0\n0\n",
     b"rounds 18446744073709551615\n",
-    b"{\"seq\":0,\"crc\":\"xx\",\"body\":{\"kind\":\"header\"}}\n",
+    b"{\"format\":2,\"verdict\":\"equivalent\",\"share_structure\":true,\"entries\":[{\"file\":\"../x\",\"fnv\":\"0\"}]}\n",
+    b"{\"format\":2,\"verdict\":\"inequivalent\",\"share_structure\":1,\"entries\":{}}",
+    b"0110\x001\n",
     b"\xff\xfe\x00aag 1 1 0 1 0",
 ];
 
@@ -53,10 +55,10 @@ fn feed_all_parsers(bytes: &[u8]) {
     let _ = import::read_tracecheck(bytes);
     let _ = lint::read_tracecheck(bytes, &opts);
     let _ = lint::lint_drat(bytes, None, &opts);
-    let _ = lint::lint_journal(bytes, &opts);
-    let _ = obs::journal::read_journal(bytes);
+    let _ = chaos::parse_cex(bytes);
     if let Ok(text) = std::str::from_utf8(bytes) {
         let _ = lint::CertificateInfo::parse(text);
+        let _ = chaos::Manifest::parse(text);
     }
 }
 
@@ -86,7 +88,29 @@ fn valid_artifacts() -> Vec<Vec<u8>> {
     export::write_drat(proof, &mut drat_bytes).unwrap();
     let mut cert_bytes = Vec::new();
     cert.info().write(&mut cert_bytes).unwrap();
-    vec![aig_bytes, cnf_bytes, tc_bytes, drat_bytes, cert_bytes]
+    let manifest = chaos::Manifest {
+        equivalent: true,
+        share_structure: true,
+        entries: [
+            ("a.aag", &aig_bytes),
+            ("miter.cnf", &cnf_bytes),
+            ("proof.tc", &tc_bytes),
+        ]
+        .into_iter()
+        .map(|(name, bytes)| (name, obs::hash::fnv1a64_hex(bytes)))
+        .collect(),
+    };
+    let manifest_bytes = manifest.render().into_bytes();
+    let cex_bytes = chaos::write_cex(&[true, false, true, true, false, false]);
+    vec![
+        aig_bytes,
+        cnf_bytes,
+        tc_bytes,
+        drat_bytes,
+        cert_bytes,
+        manifest_bytes,
+        cex_bytes,
+    ]
 }
 
 fn mutate(bytes: &mut Vec<u8>, op: u8, pos: usize, byte: u8) {
